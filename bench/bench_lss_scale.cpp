@@ -1,19 +1,25 @@
-// LSS at production scale: spatial-grid active set vs the dense O(n^2) scan.
+// LSS at production scale: the soft constraint's spatial-grid active set vs
+// the dense O(n^2) scan.
 //
 // Two claims are measured and gated:
-//   1. Speedup. The minimum-spacing soft constraint's active set is found by
+//   1. Speedup. The minimum-spacing soft constraint's active set is found by a
 //      spatial-grid sweep (~O(n) per evaluation) instead of scanning all
-//      n(n-1)/2 pairs. Both the constraint stage alone and the full objective
-//      evaluation (which adds the measured-edge term, identical in both
-//      paths -- the Amdahl floor) are timed per n; the gates are a >= 10x
+//      n(n-1)/2 pairs. Every timed evaluation here is a one-shot
+//      core::lss_stress_with_gradient call, i.e. a fresh objective's exact
+//      pair-list build -- the cold cost, with none of the list reuse a solve
+//      gets across evaluations. Both the constraint stage alone and the full
+//      objective evaluation (which adds the measured-edge term, identical in
+//      both paths -- the Amdahl floor) are timed per n; the gates are a >= 10x
 //      constraint-stage speedup at n = 500 and a >= 10x full-evaluation
 //      speedup at n = 1000, or the bench exits nonzero.
-//   2. Bit-equivalence. Both paths visit active pairs in identical order with
-//      identical arithmetic, so error and every gradient component must match
-//      to the last ulp (max |delta| must be exactly 0). Solution quality is
-//      therefore inherited, not traded: the same seeds produce the same
-//      configuration -- the end-to-end stage below records identical stress
-//      and mean error from both paths, differing only in wall time.
+//   2. Bit-equivalence. The dense scan is the test/bench reference in
+//      tests/reference/dense_lss.hpp. Both paths visit active pairs in
+//      identical order with identical arithmetic, so error and every gradient
+//      component must match to the last ulp (max |delta| must be exactly 0).
+//      Solution quality is therefore inherited, not traded: the same seeds
+//      produce the same configuration -- the end-to-end stage below records
+//      identical stress and mean error from both paths, differing only in
+//      wall time.
 //
 // Results are printed and written as JSON (default BENCH_lss.json, or
 // argv[1]) so CI can archive the perf trajectory alongside BENCH_ranging.json.
@@ -28,6 +34,7 @@
 #include "core/lss.hpp"
 #include "eval/aggregate.hpp"
 #include "eval/metrics.hpp"
+#include "reference/dense_lss.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 #include "sim/scenario_registry.hpp"
@@ -99,16 +106,14 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
                 math::Vec2{jitter_rng.gaussian(0.0, 3.0), jitter_rng.gaussian(0.0, 3.0)};
   }
 
-  core::LssOptions grid_options;   // default: spatial-grid active set
-  core::LssOptions dense_options;
-  dense_options.dense_constraint_scan = true;
+  const core::LssOptions grid_options;  // default: d_min 9.14 m, w_D 10
 
   // Equivalence first: same error, same gradient, down to the last bit.
   std::vector<double> grid_grad;
   std::vector<double> dense_grad;
   const double grid_e = core::lss_stress_with_gradient(measurements, config, grid_options, grid_grad);
   const double dense_e =
-      core::lss_stress_with_gradient(measurements, config, dense_options, dense_grad);
+      reference::dense_stress_with_gradient(measurements, config, grid_options, dense_grad);
   max_error_delta = std::max(max_error_delta, std::abs(grid_e - dense_e));
   for (std::size_t i = 0; i < grid_grad.size(); ++i) {
     max_grad_delta = std::max(max_grad_delta, std::abs(grid_grad[i] - dense_grad[i]));
@@ -131,20 +136,20 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
   // Timed evaluations: enough iterations per rep to rise above timer noise.
   const int evals = n >= 1000 ? 20 : n >= 500 ? 40 : 100;
   std::vector<double> grad;
-  const auto time_eval = [&](const core::LssOptions& options) {
+  const auto time_eval = [&](auto&& stress_with_gradient, const core::LssOptions& options) {
     return best_of(5, [&] {
       double sum = 0.0;
       for (int e = 0; e < evals; ++e) {
-        sum += core::lss_stress_with_gradient(measurements, config, options, grad);
+        sum += stress_with_gradient(measurements, config, options, grad);
       }
       g_sink = sum;
     });
   };
   core::LssOptions edge_only_options;  // the Amdahl floor both paths share
   edge_only_options.min_spacing_m.reset();
-  const double edge_s = time_eval(edge_only_options);
-  const double dense_s = time_eval(dense_options);
-  const double grid_s = time_eval(grid_options);
+  const double edge_s = time_eval(core::lss_stress_with_gradient, edge_only_options);
+  const double dense_s = time_eval(reference::dense_stress_with_gradient, grid_options);
+  const double grid_s = time_eval(core::lss_stress_with_gradient, grid_options);
   c.edge_term_us = edge_s / evals * 1e6;
   c.dense_us = dense_s / evals * 1e6;
   c.grid_us = grid_s / evals * 1e6;
@@ -212,8 +217,6 @@ int main(int argc, char** argv) {
   solve_options.gd.max_iterations = 2500;
 
   const auto solve = [&](bool dense, double& out_stress, double& out_error) {
-    core::LssOptions options = solve_options;
-    options.dense_constraint_scan = dense;
     math::Rng dv_rng(0xD0);
     core::DvHopResult dv = core::localize_dv_hop(deployment, measurements, {}, dv_rng);
     std::vector<math::Vec2> initial(deployment.size());
@@ -222,7 +225,8 @@ int main(int argc, char** argv) {
     }
     math::Rng solve_rng(0x50E);
     const core::LssResult result =
-        core::localize_lss_from(measurements, std::move(initial), options, solve_rng);
+        dense ? reference::dense_localize_lss_from(measurements, initial, solve_options, solve_rng)
+              : core::localize_lss_from(measurements, initial, solve_options, solve_rng);
     out_stress = result.stress;
     out_error =
         eval::evaluate_localization(result.positions, deployment.positions, true).average_error_m;

@@ -16,22 +16,46 @@ namespace {
 
 constexpr double kMinSeparation = 1e-9;  // guards the 1/dcomp gradient factor
 
+/// Verlet skin of the soft-constraint pair list, as a fraction of d_min. The
+/// results do not depend on it (see StressObjective); it only trades list
+/// length against rebuild rate.
+constexpr double kSkinFraction = 0.5;
+
+/// Relative safety margin of the reuse test: a node may move at most
+/// (1 - kReuseMargin) * skin / 2 from where the list was built. It absorbs the
+/// few-ulp rounding of the distance and grid-cell arithmetic, orders of
+/// magnitude below it, so the superset argument holds in floating point.
+constexpr double kReuseMargin = 1e-6;
+
 /// The stress objective over parameters [x_0..x_{n-1}, y_0..y_{n-1}]: the
 /// measured-edge term plus the minimum-spacing soft constraint over
 /// unmeasured pairs (Section 4.2.1). A concrete callable rather than a
 /// std::function: the optimizer evaluates it ~10^5 times per solve, and the
-/// spatial-hash scratch below must persist across evaluations.
+/// pair list below must persist across evaluations.
 ///
 /// The soft constraint's active set -- unmeasured pairs currently placed
-/// closer than d_min -- is found by a spatial-hash neighbor query (~O(n) per
-/// evaluation) instead of scanning all n(n-1)/2 pairs. Both paths visit the
-/// active pairs in identical (i, j) lexicographic order and run identical
-/// per-pair arithmetic, so their error and gradient are bit-equal; `fixed`
-/// marks nodes whose gradient entries are zeroed (anchored mode).
+/// closer than d_min -- is read off a Verlet neighbor list instead of being
+/// searched for on every evaluation. A build collects, with a spatial-hash
+/// sweep over cells of side d_min + skin, every unmeasured pair closer than
+/// d_min + skin, sorted by (i, j). While no node has moved more than skin/2
+/// (less the safety margin) since the build, that list is a superset of the
+/// active set: two nodes closer than d_min now were closer than
+/// d_min + skin then. One O(n) displacement check per evaluation decides
+/// reuse; a NaN displacement fails it and forces a rebuild. Each evaluation
+/// keeps the listed pairs with d^2 < d_min^2 and runs the dense scan's
+/// per-pair arithmetic on them in the dense scan's (i asc, j asc) order, so
+/// error and gradient are bit-equal to scanning all n(n-1)/2 pairs.
+///
+/// Two builds are exact (skin 0, cells of side d_min) and are never reused:
+/// a fresh objective's first evaluation, so a one-shot evaluation costs one
+/// sweep and no more, and any build while a coordinate is non-finite, so the
+/// NaN pairs kept (NaN fails every comparison) are exactly those sharing a
+/// d_min grid neighborhood, as they always were. `fixed` lists nodes whose
+/// gradient entries are zeroed (anchored mode).
 class StressObjective {
  public:
   StressObjective(const MeasurementSet& measurements, const LssOptions& options,
-                  std::vector<bool> fixed)
+                  std::vector<NodeId> fixed)
       : measurements_(measurements),
         options_(options),
         fixed_(std::move(fixed)),
@@ -58,137 +82,123 @@ class StressObjective {
     // Soft minimum-spacing constraint over *unmeasured* pairs placed closer
     // than d_min: w_D (dcomp - d_min)^2. The active set changes dynamically
     // as the configuration moves (Section 4.2.1).
-    if (options_.min_spacing_m.has_value()) {
-      if (options_.dense_constraint_scan) {
-        error = accumulate_constraint_dense(p, grad, error);
-      } else {
-        error = accumulate_constraint_grid(p, grad, error);
-      }
-    }
+    if (options_.min_spacing_m.has_value()) error = accumulate_constraint(p, grad, error);
 
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (fixed_[i]) {
-        grad[i] = 0.0;
-        grad[n_ + i] = 0.0;
-      }
+    for (const NodeId i : fixed_) {
+      grad[i] = 0.0;
+      grad[n_ + i] = 0.0;
     }
-    // Edge-term vs constraint-stage split per evaluation: the two tallies
-    // ROADMAP items 1 and 5 read to see where an LSS solve's work goes.
+    // Edge-term vs constraint-stage split per evaluation (the constraint
+    // stage adds its own tallies): what ROADMAP items 1 and 5 read to see
+    // where an LSS solve's work goes.
     obs::add(obs::Counter::kLssEdgeTerms, measurements_.edges().size());
-    obs::add(obs::Counter::kLssConstraintPairs, active_pairs_);
-    active_pairs_ = 0;
     return error;
   }
 
  private:
-  /// One active pair's contribution. Shared verbatim by both scan paths --
-  /// the bit-equivalence guarantee reduces to visiting pairs in the same
-  /// order.
-  double accumulate_pair(const std::vector<double>& p, std::vector<double>& grad,
-                         double error, NodeId i, NodeId j, double dmin, double dmin_sq,
-                         double wd) const {
-    const double dx = p[i] - p[j];
-    const double dy = p[n_ + i] - p[n_ + j];
-    const double d_sq = dx * dx + dy * dy;
-    if (d_sq >= dmin_sq) return error;       // constraint satisfied
-    if (measurements_.has(i, j)) return error;  // measured pairs are exempt
-    ++active_pairs_;
-    const double dcomp = std::max(std::sqrt(d_sq), kMinSeparation);
-    const double residual = dcomp - dmin;
-    error += wd * residual * residual;
-    const double scale = 2.0 * wd * residual / dcomp;
-    grad[i] += scale * dx;
-    grad[j] -= scale * dx;
-    grad[n_ + i] += scale * dy;
-    grad[n_ + j] -= scale * dy;
-    return error;
-  }
-
-  /// Reference path: scan all unordered pairs (the seed implementation).
-  double accumulate_constraint_dense(const std::vector<double>& p, std::vector<double>& grad,
-                                     double error) {
+  double accumulate_constraint(const std::vector<double>& p, std::vector<double>& grad,
+                               double error) {
     const double dmin = *options_.min_spacing_m;
     const double dmin_sq = dmin * dmin;
     const double wd = options_.constraint_weight;
-    for (NodeId i = 0; i + 1 < n_; ++i) {
-      for (NodeId j = i + 1; j < n_; ++j) {
-        error = accumulate_pair(p, grad, error, i, j, dmin, dmin_sq, wd);
-      }
-    }
-    return error;
-  }
+    if (!list_reusable(p)) build_list(p, dmin);
 
-  /// Fast path: bucket the configuration into cells of side d_min, sweep out
-  /// the pairs sharing a 3x3 cell neighborhood -- a superset of the active
-  /// set -- and replay them in the dense scan's (i asc, j asc) order, keeping
-  /// the result bit-equal. The replay order is restored by a counting bucket
-  /// per i plus tiny per-bucket insertion sorts (a comparison sort over all
-  /// candidates was measurably the stage's dominant cost). The candidate
-  /// count is ~O(n) at any realistic density, so the whole stage is
-  /// ~O(n) per evaluation versus the dense scan's O(n^2).
-  double accumulate_constraint_grid(const std::vector<double>& p, std::vector<double>& grad,
-                                    double error) {
-    const double dmin = *options_.min_spacing_m;
-    const double dmin_sq = dmin * dmin;
-    const double wd = options_.constraint_weight;
-    grid_.rebuild(p.data(), p.data() + n_, n_, dmin);
-    // Emit only the *active* pairs: the violation test is pure per-pair
-    // arithmetic, so applying it in spatial emission order changes nothing
-    // bit-wise, and it shrinks the ordering stage below from ~3 candidates
-    // per node to the usually near-empty active set.
-    pairs_.clear();
-    grid_.for_each_candidate_pair([this, &p, dmin_sq](std::size_t i, std::size_t j) {
+    std::uint64_t active_pairs = 0;
+    for (const std::uint64_t pair : list_) {
+      const auto i = static_cast<std::size_t>(pair >> 32);
+      const auto j = static_cast<std::size_t>(pair & 0xffffffffu);
       const double dx = p[i] - p[j];
       const double dy = p[n_ + i] - p[n_ + j];
-      if (dx * dx + dy * dy >= dmin_sq) return;
+      const double d_sq = dx * dx + dy * dy;
+      if (d_sq >= dmin_sq) continue;  // constraint satisfied
+      ++active_pairs;
+      const double dcomp = std::max(std::sqrt(d_sq), kMinSeparation);
+      const double residual = dcomp - dmin;
+      error += wd * residual * residual;
+      const double scale = 2.0 * wd * residual / dcomp;
+      grad[i] += scale * dx;
+      grad[j] -= scale * dx;
+      grad[n_ + i] += scale * dy;
+      grad[n_ + j] -= scale * dy;
+    }
+    obs::add(obs::Counter::kLssConstraintPairs, active_pairs);
+    return error;
+  }
+
+  /// True while the list still covers the active set: it was built with a
+  /// skin and every node is within the reuse radius of its build position.
+  bool list_reusable(const std::vector<double>& p) const {
+    if (!reusable_) return false;
+    for (std::size_t k = 0; k < n_; ++k) {
+      const double dx = p[k] - built_at_[k];
+      const double dy = p[n_ + k] - built_at_[n_ + k];
+      if (!(dx * dx + dy * dy < reuse_radius_sq_)) return false;  // NaN fails too
+    }
+    return true;
+  }
+
+  /// Rebuilds the list at configuration p: bucket the nodes into cells of side
+  /// d_min + skin, keep the unmeasured candidate pairs closer than that, and
+  /// order them (i asc, j asc). The order is restored by a counting bucket per
+  /// i followed by one insertion sort, which only moves entries within their
+  /// own i bucket.
+  void build_list(const std::vector<double>& p, double dmin) {
+    const bool exact =
+        !built_ || !std::all_of(p.begin(), p.end(), [](double v) { return std::isfinite(v); });
+    built_ = true;
+    reusable_ = !exact;
+    const double skin = exact ? 0.0 : kSkinFraction * dmin;
+    const double cutoff = dmin + skin;
+    const double cutoff_sq = cutoff * cutoff;
+    const double reuse_radius = 0.5 * skin * (1.0 - kReuseMargin);
+    reuse_radius_sq_ = reuse_radius * reuse_radius;
+    if (reusable_) built_at_ = p;
+    obs::add(obs::Counter::kLssListRebuilds);
+
+    grid_.rebuild(p.data(), p.data() + n_, n_, cutoff);
+    pairs_.clear();
+    grid_.for_each_candidate_pair([this, &p, cutoff_sq](std::size_t i, std::size_t j) {
+      const double dx = p[i] - p[j];
+      const double dy = p[n_ + i] - p[n_ + j];
+      if (dx * dx + dy * dy >= cutoff_sq) return;  // NaN is kept, as the dense scan keeps it
       if (measurements_.has(static_cast<NodeId>(i), static_cast<NodeId>(j))) return;
       pairs_.push_back((static_cast<std::uint64_t>(i) << 32) | j);
     });
 
     // Counting sort by i: offsets_[i] walks from the start to the end of
-    // node i's slice of js_ as the scatter fills it.
+    // node i's bucket of list_ as the scatter fills it.
     offsets_.assign(n_ + 1, 0);
     for (const std::uint64_t pair : pairs_) ++offsets_[(pair >> 32) + 1];
     for (std::size_t i = 1; i <= n_; ++i) offsets_[i] += offsets_[i - 1];
-    js_.resize(pairs_.size());
-    for (const std::uint64_t pair : pairs_) {
-      js_[offsets_[pair >> 32]++] = static_cast<std::uint32_t>(pair & 0xffffffffu);
-    }
-
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t end = offsets_[i];  // post-scatter: end of i's slice
-      for (std::size_t a = begin + 1; a < end; ++a) {  // insertion sort the js
-        const std::uint32_t v = js_[a];
-        std::size_t b = a;
-        while (b > begin && js_[b - 1] > v) {
-          js_[b] = js_[b - 1];
-          --b;
-        }
-        js_[b] = v;
+    list_.resize(pairs_.size());
+    for (const std::uint64_t pair : pairs_) list_[offsets_[pair >> 32]++] = pair;
+    for (std::size_t a = 1; a < list_.size(); ++a) {
+      const std::uint64_t v = list_[a];
+      std::size_t b = a;
+      while (b > 0 && list_[b - 1] > v) {
+        list_[b] = list_[b - 1];
+        --b;
       }
-      for (std::size_t a = begin; a < end; ++a) {
-        error = accumulate_pair(p, grad, error, static_cast<NodeId>(i), js_[a], dmin, dmin_sq,
-                                wd);
-      }
-      begin = end;
+      list_[b] = v;
     }
-    return error;
   }
 
   const MeasurementSet& measurements_;
   const LssOptions options_;
-  const std::vector<bool> fixed_;
+  const std::vector<NodeId> fixed_;
   const std::size_t n_;
-  mutable std::uint64_t active_pairs_ = 0;  // active constraint pairs this evaluation
-  resloc::math::SpatialHashGrid grid_;   // rebuilt every evaluation, alloc-free
-  std::vector<std::uint64_t> pairs_;     // candidate pairs, packed (i << 32) | j
-  std::vector<std::uint32_t> offsets_;   // counting-sort scratch (per-i slice bounds)
-  std::vector<std::uint32_t> js_;        // candidate js, grouped by i
+  bool built_ = false;     // a list has been built (the first build is exact)
+  bool reusable_ = false;  // the current list was built with a skin
+  double reuse_radius_sq_ = 0.0;
+  std::vector<double> built_at_;         // configuration the list was built at
+  std::vector<std::uint64_t> list_;      // pairs (i << 32) | j, sorted
+  resloc::math::SpatialHashGrid grid_;   // rebuilt per list build, alloc-free
+  std::vector<std::uint64_t> pairs_;     // candidate pairs in emission order
+  std::vector<std::uint32_t> offsets_;   // counting-sort scratch (per-i bucket bounds)
 };
 
 LssResult run(const MeasurementSet& measurements, std::vector<double> initial,
-              std::vector<bool> fixed, const LssOptions& options, resloc::math::Rng& rng) {
+              std::vector<NodeId> fixed, const LssOptions& options, resloc::math::Rng& rng) {
   RESLOC_SPAN("solver/lss_solve");
   const std::size_t n = measurements.node_count();
   StressObjective objective(measurements, options, std::move(fixed));
@@ -225,7 +235,7 @@ double lss_stress_with_gradient(const MeasurementSet& measurements,
     p[n + i] = positions[i].y;
   }
   grad.assign(2 * n, 0.0);
-  StressObjective objective(measurements, options, std::vector<bool>(n, false));
+  StressObjective objective(measurements, options, {});
   return objective(p, grad);
 }
 
@@ -271,7 +281,7 @@ LssResult localize_lss_from(const MeasurementSet& measurements, std::vector<Vec2
     p[i] = initial[i].x;
     p[n + i] = initial[i].y;
   }
-  return run(measurements, std::move(p), std::vector<bool>(n, false), options, rng);
+  return run(measurements, std::move(p), {}, options, rng);
 }
 
 LssResult localize_lss_anchored(const MeasurementSet& measurements,
@@ -279,7 +289,8 @@ LssResult localize_lss_anchored(const MeasurementSet& measurements,
                                 const LssOptions& options, resloc::math::Rng& rng) {
   const std::size_t n = measurements.node_count();
   std::vector<double> p(2 * n, 0.0);
-  std::vector<bool> fixed(n, false);
+  std::vector<NodeId> fixed;
+  fixed.reserve(anchors.size());
   for (std::size_t i = 0; i < n; ++i) {
     p[i] = rng.uniform(0.0, options.init_box_m);
     p[n + i] = rng.uniform(0.0, options.init_box_m);
@@ -287,7 +298,7 @@ LssResult localize_lss_anchored(const MeasurementSet& measurements,
   for (const auto& [id, pos] : anchors) {
     p[id] = pos.x;
     p[n + id] = pos.y;
-    fixed[id] = true;
+    fixed.push_back(id);
   }
   return run(measurements, std::move(p), std::move(fixed), options, rng);
 }

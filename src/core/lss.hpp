@@ -63,14 +63,6 @@ struct LssOptions {
   /// stress falls to `target_stress_per_edge * edge_count` ("a reasonable
   /// minimum is reached"). 0 runs all attempts.
   double target_stress_per_edge = 0.0;
-
-  /// When true, the soft constraint's active set is found by the original
-  /// dense all-pairs scan (O(n^2) per objective evaluation) instead of the
-  /// spatial-hash neighbor query (~O(n)). The two paths are bit-equivalent --
-  /// same error, same gradient, down to the last ulp (locked by the
-  /// dense-vs-grid test in tests/test_lss_scale.cpp) -- so this exists only
-  /// for that test and as a reference when debugging the grid.
-  bool dense_constraint_scan = false;
 };
 
 /// LSS output. Positions are in an arbitrary rigid frame (translate / rotate
@@ -96,8 +88,10 @@ double lss_stress(const MeasurementSet& measurements, const std::vector<resloc::
 /// Evaluates stress AND its gradient at the given configuration. `grad` is
 /// resized to 2n and laid out like the solver's parameter vector:
 /// [dE/dx_0 .. dE/dx_{n-1}, dE/dy_0 .. dE/dy_{n-1}]. Exposed for the
-/// finite-difference gradient checks, the dense-vs-grid equivalence test, and
-/// bench_lss_scale.
+/// finite-difference gradient checks, the equivalence tests against the dense
+/// reference (tests/reference/dense_lss.hpp), and bench_lss_scale. Each call
+/// builds a fresh objective, so it pays one exact soft-constraint pair search
+/// and never reuses a pair list (see core/lss.cpp).
 double lss_stress_with_gradient(const MeasurementSet& measurements,
                                 const std::vector<resloc::math::Vec2>& positions,
                                 const LssOptions& options, std::vector<double>& grad);

@@ -53,6 +53,10 @@ std::optional<DistanceEdge> MeasurementSet::between(NodeId i, NodeId j) const {
   return edges_[it->second];
 }
 
+bool MeasurementSet::has(NodeId i, NodeId j) const {
+  return index_.find(key(i, j)) != index_.end();
+}
+
 std::vector<std::pair<NodeId, double>> MeasurementSet::neighbors(NodeId id) const {
   std::vector<std::pair<NodeId, double>> out;
   if (id >= adjacency_.size()) return out;

@@ -48,7 +48,9 @@ class MeasurementSet {
   /// The measurement between i and j, if present.
   std::optional<DistanceEdge> between(NodeId i, NodeId j) const;
 
-  bool has(NodeId i, NodeId j) const { return between(i, j).has_value(); }
+  /// Whether i and j have a measurement: one index probe, no edge copy (the
+  /// LSS soft constraint asks this of every close pair it considers).
+  bool has(NodeId i, NodeId j) const;
 
   const std::vector<DistanceEdge>& edges() const { return edges_; }
   std::size_t edge_count() const { return edges_.size(); }

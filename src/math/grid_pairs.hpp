@@ -13,7 +13,7 @@
 //
 // Replay order is the contract: the kept pairs are stored grouped by i with
 // ascending j (the dense scan's (i, j)-lexicographic order, restored by the
-// same counting-bucket + per-bucket insertion sort the LSS constraint scan
+// counting-bucket + insertion sort the LSS soft-constraint pair list also
 // uses), and the per-node neighbor lists visit ascending ids (the order a
 // dense per-source receiver loop visits them). Every distance is computed
 // once, by the same math::distance(points[i], points[j]) call the dense scan

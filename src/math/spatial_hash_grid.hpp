@@ -1,20 +1,22 @@
 // Uniform spatial grid over 2-D points.
 //
-// Built for the LSS solvers' minimum-spacing soft constraint (Section 4.2.1):
-// every objective evaluation must find the dynamic active set of point pairs
-// closer than d_min. A dense scan is O(n^2) per evaluation; bucketing points
-// into square cells of side d_min reduces it to O(n log n + candidate pairs),
-// because any pair within d_min of each other is guaranteed to land in the
-// same or an adjacent cell (|dx| < cell implies cell indices differ by at
-// most 1).
+// Built for the LSS solvers' minimum-spacing soft constraint (Section 4.2.1),
+// which must find the point pairs closer than a cutoff. A dense scan is
+// O(n^2); bucketing points into square cells of side `cutoff` reduces it to
+// O(n log n + candidate pairs), because any pair within the cutoff of each
+// other is guaranteed to land in the same or an adjacent cell (|dx| < cell
+// implies cell indices differ by at most 1). The LSS objective sweeps it only
+// when it rebuilds its Verlet pair list (cells of side d_min + skin, a few
+// percent of evaluations or fewer); the measurement generators and the
+// acoustic campaign reach it through math::GridPairEnumerator.
 //
-// The grid is rebuilt from scratch on every evaluation -- configurations move
-// each gradient step -- so the implementation is tuned for rebuild + one
-// enumeration pass, not for incremental updates: each point's (row, col, id)
-// is packed into one 64-bit word and the words are sorted. Candidate pairs
-// then fall out of a single merge-sweep over adjacent rows with no hashing
-// and no per-point queries; all storage is reused across rebuilds, so
-// steady-state rebuilds are allocation-free.
+// Each build starts from scratch -- configurations move between builds -- so
+// the implementation is tuned for rebuild + one enumeration pass, not for
+// incremental updates: each point's (row, col, id) is packed into one 64-bit
+// word and the words are sorted. Candidate pairs then fall out of a single
+// merge-sweep over adjacent rows with no hashing and no per-point queries;
+// all storage is reused across rebuilds, so steady-state rebuilds are
+// allocation-free.
 #pragma once
 
 #include <cstddef>

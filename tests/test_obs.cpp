@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -138,10 +139,15 @@ TEST_F(ObsTest, CountersAddOnlyWhenEnabled) {
   obs::add(obs::Counter::kGdEvaluations);
   const obs::TelemetrySnapshot snap = obs::snapshot();
   EXPECT_EQ(snap.counter(obs::Counter::kGdEvaluations), 4u);
-  // Every counter has a stable, non-empty report key.
+  // Every counter has a stable, non-empty, unique report key.
+  std::set<std::string> names;
   for (std::uint32_t c = 0; c < static_cast<std::uint32_t>(obs::Counter::kCount); ++c) {
-    EXPECT_STRNE(obs::counter_name(static_cast<obs::Counter>(c)), "");
+    const char* name = obs::counter_name(static_cast<obs::Counter>(c));
+    EXPECT_STRNE(name, "");
+    EXPECT_TRUE(names.insert(name).second) << "duplicate counter key " << name;
   }
+  EXPECT_STREQ(obs::counter_name(obs::Counter::kLssConstraintPairs), "lss_constraint_pairs");
+  EXPECT_STREQ(obs::counter_name(obs::Counter::kLssListRebuilds), "lss_list_rebuilds");
 }
 
 TEST_F(ObsTest, CounterTotalsIdenticalAtOneVsEightThreads) {
@@ -168,6 +174,11 @@ TEST_F(ObsTest, CounterTotalsIdenticalAtOneVsEightThreads) {
   EXPECT_GT(snap1.counter(obs::Counter::kMeasureCalls), 0u);
   EXPECT_GT(snap1.counter(obs::Counter::kGdEvaluations), 0u);
   EXPECT_GT(snap1.counter(obs::Counter::kLssEdgeTerms), 0u);
+  // Every LSS solve builds its soft-constraint pair list at least once (the
+  // exact build of its first evaluation), never more than once per evaluation.
+  EXPECT_GT(snap1.counter(obs::Counter::kLssListRebuilds), 0u);
+  EXPECT_LE(snap1.counter(obs::Counter::kLssListRebuilds),
+            snap1.counter(obs::Counter::kGdEvaluations));
   EXPECT_EQ(snap1.counter(obs::Counter::kRunnerTrials), r1.trials.size());
   EXPECT_GT(snap1.stage_count("ranging/measure"), 0u);
   EXPECT_GT(snap1.stage_count("solver/lss_solve"), 0u);
