@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Gates the campaign benchmark's deterministic work counters.
 
-    python3 tools/check_work_counters.py [--workload lss_scale]
+    python3 tools/check_work_counters.py
 
 Run it from the repository root. It runs
 
-    python3 perfbench/run.py --workload W --seed 1 --trace 1 --seconds 1
+    python3 perfbench/run.py --workload lss_scale --seed 1 --trace 1 --seconds 1
 
 and exits 1 unless math.gd_evaluations, core.lss_edge_terms and
 core.lss_constraint_pairs equal the default-seed values that the "Work counts
-at the default seed" table of perfbench/README.md lists for the workload. The
+at the default seed" table of perfbench/README.md lists for lss_scale. The
 counters are a pure function of the seed on any host and at any thread count,
 so a mismatch means the solvers took a different trajectory: a speedup must
 leave them untouched.
 """
 
-import argparse
 import json
 import subprocess
 import sys
@@ -23,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "perfbench" / "README.md"
+WORKLOAD = "lss_scale"
 COUNTERS = ("math.gd_evaluations", "core.lss_edge_terms", "core.lss_constraint_pairs")
 
 
@@ -46,18 +46,14 @@ def expected_counts(readme_text, workload):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="lss_scale")
-    args = parser.parse_args()
-
-    expected = expected_counts(README.read_text(), args.workload)
+    expected = expected_counts(README.read_text(), WORKLOAD)
     missing = [name for name in COUNTERS if name not in expected]
     if missing:
         print(f"check_work_counters: not in the README table: {', '.join(missing)}",
               file=sys.stderr)
         return 2
 
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", "1",
+    cmd = [sys.executable, "perfbench/run.py", "--workload", WORKLOAD, "--seed", "1",
            "--trace", "1", "--seconds", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
