@@ -35,13 +35,14 @@ int main() {
     double max_over = 0.0;
     const int trials = 60;
     const double d = 14.0;
+    ranging::RangingScratch scratch;
     for (int i = 0; i < trials; ++i) {
       acoustics::SpeakerUnit speaker;
       // Weak links are where late detection bites: shadow a little. (The
       // channel's ramp-up model makes chirps below ~4 ms mostly ramp, which
       // is the paper's "speaker did not have enough time to fully power up".)
       speaker.output_db -= 3.0;
-      const auto est = service.measure(d, speaker, acoustics::MicUnit{}, rng);
+      const auto est = service.measure(d, speaker, acoustics::MicUnit{}, rng, scratch).distance_m;
       if (!est) continue;
       ++detections;
       const double e = *est - d;

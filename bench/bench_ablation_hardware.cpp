@@ -21,8 +21,9 @@ double rate(const ranging::RangingService& service, double d, double speaker_db,
   speaker.output_db = speaker_db;
   int hits = 0;
   const int trials = 30;
+  ranging::RangingScratch scratch;
   for (int i = 0; i < trials; ++i) {
-    if (service.measure(d, speaker, acoustics::MicUnit{}, rng)) ++hits;
+    if (service.measure(d, speaker, acoustics::MicUnit{}, rng, scratch).distance_m) ++hits;
   }
   return 100.0 * hits / trials;
 }

@@ -10,9 +10,10 @@
 //   2. Front-end speedup. The acquisition front end -- pair enumeration plus
 //      per-link shadowing setup, everything the campaign does besides running
 //      the acoustic physics -- is timed via rounds=0 campaigns: the dense
-//      reference path pays the seed's n(n-1)/2 distance scan, n^2-entry
-//      shadowing matrix, and 500k substream draws at n=1000; the grid path
-//      pays O(n + in-range pairs). Gate: >= 10x at n = 1000.
+//      reference (tests/reference/dense_campaign.hpp) pays the seed's
+//      n(n-1)/2 distance scan, n^2-entry shadowing matrix, and 500k substream
+//      draws at n=1000; the grid path pays O(n + in-range pairs). Gate: >= 10x
+//      at n = 1000.
 //   3. End-to-end campaign speedup. Full campaigns (units, enumeration,
 //      shadowing, every chirp sequence, filtering) at n in {100, 500, 1000}.
 //      At survey density (uniform_n, ~9 in-range neighbors) the acoustic
@@ -46,6 +47,7 @@
 #include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "math/grid_pairs.hpp"
+#include "reference/dense_campaign.hpp"
 #include "sim/field_experiment.hpp"
 #include "sim/scenario_registry.hpp"
 #include "sim/scenarios.hpp"
@@ -132,6 +134,16 @@ std::size_t pair_set_delta(const core::Deployment& d, double cutoff,
   return delta;
 }
 
+/// One campaign through the dense reference front end (tests/reference/
+/// dense_campaign.hpp, production measure path) or the production campaign.
+sim::FieldExperimentData run_campaign(const core::Deployment& deployment,
+                                      const sim::FieldExperimentConfig& config, math::Rng& rng,
+                                      bool dense) {
+  if (!dense) return sim::run_field_experiment(deployment, config, rng);
+  return reference::run_field_experiment(deployment, config, rng, reference::PairScan::kDense,
+                                         reference::MeasurePath::kProduction);
+}
+
 struct ScalePoint {
   std::size_t n = 0;
   std::size_t in_range_pairs = 0;
@@ -158,11 +170,10 @@ ScalePoint run_scale_point(std::size_t n) {
 
   const auto campaign_time = [&](bool dense, int rounds, int reps) {
     sim::FieldExperimentConfig c = config;
-    c.dense_pair_scan = dense;
     c.rounds = rounds;
     return best_of(reps, [&] {
       math::Rng rng(7);
-      const auto data = sim::run_field_experiment(deployment, c, rng);
+      const auto data = run_campaign(deployment, c, rng, dense);
       g_sink = data.samples.size() + data.skipped_pairs;
     });
   };
@@ -218,15 +229,21 @@ SurveyDspPoint run_survey_dsp_point() {
   const core::Deployment deployment = sim::build_scenario("uniform_n", params, deploy_rng);
   const sim::FieldExperimentConfig base = sim::grass_campaign_config();
 
-  const auto run = [&](bool block_dsp, int threads) {
+  // block = false: the per-sample reference measure (tests/reference/
+  // per_sample_ranging.hpp) in the single-threaded reference campaign loop
+  // over the same grid front end.
+  const auto run = [&](bool block, int threads) {
     sim::FieldExperimentConfig c = base;
-    c.ranging.block_dsp = block_dsp;
     c.threads = threads;
     math::Rng rng(7);
+    if (!block) {
+      return reference::run_field_experiment(deployment, c, rng, reference::PairScan::kGrid,
+                                             reference::MeasurePath::kPerSample);
+    }
     return sim::run_field_experiment(deployment, c, rng);
   };
-  const auto time_run = [&](bool block_dsp, int threads, int reps) {
-    return best_of(reps, [&] { g_sink = run(block_dsp, threads).samples.size(); });
+  const auto time_run = [&](bool block, int threads, int reps) {
+    return best_of(reps, [&] { g_sink = run(block, threads).samples.size(); });
   };
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -286,11 +303,9 @@ int main(int argc, char** argv) {
   const std::size_t wide_delta =
       pair_set_delta(wide, wide_config.simulate_within_m, &wide_in_range);
   const auto wide_time = [&](bool dense) {
-    sim::FieldExperimentConfig c = wide_config;
-    c.dense_pair_scan = dense;
     return best_of(3, [&] {
       math::Rng rng(7);
-      const auto data = sim::run_field_experiment(wide, c, rng);
+      const auto data = run_campaign(wide, wide_config, rng, dense);
       g_sink = data.samples.size() + data.skipped_pairs;
     });
   };

@@ -107,7 +107,7 @@ DetectorRecord run_scene(ranging::DetectorMode mode, bool echo,
     for (int t = 0; t < trials; ++t) {
       math::Rng stream = rng.fork(t);
       ++attempts;
-      const auto attempt = service.measure_with_diagnostics(d, {}, {}, stream);
+      const auto attempt = service.measure(d, {}, {}, stream, scratch);
       if (!attempt.distance_m) continue;
       offsets.push_back(std::abs(static_cast<double>(attempt.detection_index - expected)));
     }
@@ -125,7 +125,7 @@ DetectorRecord run_scene(ranging::DetectorMode mode, bool echo,
     math::Rng r(seed ^ 0x7157);
     double sum = 0.0;
     for (int i = 0; i < kTimedPairs; ++i) {
-      const auto est = service.measure(mid, {}, {}, r, scratch);
+      const auto est = service.measure(mid, {}, {}, r, scratch).distance_m;
       sum += est.value_or(0.0);
     }
     g_sink = sum;

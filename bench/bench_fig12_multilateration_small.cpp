@@ -39,6 +39,7 @@ int main() {
   units.speaker_stddev_db = 2.5;
 
   ranging::MeasurementTable table;
+  ranging::RangingScratch scratch;
   for (core::NodeId anchor : deployment.anchors) {
     const auto speaker = units.sample_speaker(acoustics::kLoudspeakerDb, rng);
     for (core::NodeId node = 0; node < deployment.size(); ++node) {
@@ -47,7 +48,7 @@ int main() {
           math::distance(deployment.positions[anchor], deployment.positions[node]);
       const auto mic = units.sample_mic(rng);
       for (int round = 0; round < 5; ++round) {
-        const auto est = service.measure(d, speaker, mic, rng);
+        const auto est = service.measure(d, speaker, mic, rng, scratch).distance_m;
         if (est) table.add(anchor, node, *est);
       }
     }

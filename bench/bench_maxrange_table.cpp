@@ -22,8 +22,11 @@ double detection_rate(const ranging::RangingService& service, double distance_m,
   acoustics::SpeakerUnit speaker;
   speaker.output_db = speaker_db;
   int hits = 0;
+  ranging::RangingScratch scratch;
   for (int i = 0; i < trials; ++i) {
-    if (service.measure(distance_m, speaker, acoustics::MicUnit{}, rng)) ++hits;
+    if (service.measure(distance_m, speaker, acoustics::MicUnit{}, rng, scratch).distance_m) {
+      ++hits;
+    }
   }
   return static_cast<double>(hits) / trials;
 }
@@ -58,7 +61,7 @@ int main() {
   std::printf("  hardware detector, 20 m window: %4zu bytes (paper: < 500 B)\n",
               ranging::hardware_detector_buffer_bytes(20.0));
   std::printf("  software detector, 20 m window: %4zu bytes (paper: ~2 kB)\n",
-              ranging::software_detector_buffer_bytes(20.0));
+              ranging::dft_detector_buffer_bytes(20.0));
   std::printf("  max range in 4 kB MICA2 RAM (hardware layout): %.0f m\n",
               ranging::hardware_detector_max_range_m(4096));
   return 0;

@@ -2,7 +2,8 @@
 // acoustic sweep axis.
 //
 // Three stages of the per-pair ranging cost are timed:
-//   1. single-bin tone filtering: DirectDftFilter (O(window) per sample, the
+//   1. single-bin tone filtering: the direct-DFT reference
+//      (tests/reference/direct_dft.hpp; O(window) per sample, the
 //      cost a naive per-chirp-per-pair DFT pays) against GoertzelSlidingFilter
 //      (O(1) per sample), including a max |delta magnitude| equivalence check;
 //   2. waveform synthesis: per-sample std::sin against the cached chirp
@@ -11,7 +12,7 @@
 //      against one reused RangingScratch. On the hardware-detector path the
 //      interval model dominates and reuse is roughly cost-neutral (the JSON
 //      records the honest number); the scratch's real payoff is stage 4;
-//   4. the same pair loop in software-detector mode (Section 3.7), where a
+//   4. the same pair loop in Goertzel-detector mode (Section 3.7), where a
 //      fresh scratch per pair also rebuilds the tone table and the Goertzel
 //      detector that the reused scratch caches across pairs.
 //
@@ -28,6 +29,7 @@
 #include "eval/aggregate.hpp"
 #include "ranging/dft_detector.hpp"
 #include "ranging/ranging_service.hpp"
+#include "reference/direct_dft.hpp"
 #include "sim/scenarios.hpp"
 
 using namespace resloc;
@@ -77,7 +79,7 @@ int main(int argc, char** argv) {
   const int bin = ranging::nearest_bin(spec.tone_frequency_hz, spec.sample_rate_hz,
                                        ranging::SlidingDftFilter::kWindow);
   const double direct_s = best_of(5, [&] {
-    ranging::DirectDftFilter filter(ranging::SlidingDftFilter::kWindow, bin);
+    reference::DirectDftFilter filter(ranging::SlidingDftFilter::kWindow, bin);
     double sum = 0.0;
     for (double s : wave) sum += filter.step(s);
     g_sink = sum;
@@ -93,7 +95,7 @@ int main(int argc, char** argv) {
   // Equivalence: the fast path must not drift from the direct sum.
   double max_delta = 0.0;
   {
-    ranging::DirectDftFilter direct(ranging::SlidingDftFilter::kWindow, bin);
+    reference::DirectDftFilter direct(ranging::SlidingDftFilter::kWindow, bin);
     ranging::GoertzelSlidingFilter fast(ranging::SlidingDftFilter::kWindow, bin);
     for (double s : wave) {
       const double d = std::abs(std::sqrt(direct.step(s)) - std::sqrt(fast.step(s)));
@@ -138,7 +140,8 @@ int main(int argc, char** argv) {
     math::Rng r(7);
     double sum = 0.0;
     for (int i = 0; i < kPairs; ++i) {
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r);
+      ranging::RangingScratch fresh;
+      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;
@@ -148,7 +151,7 @@ int main(int argc, char** argv) {
     ranging::RangingScratch scratch;
     double sum = 0.0;
     for (int i = 0; i < kPairs; ++i) {
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, scratch);
+      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;
@@ -159,16 +162,17 @@ int main(int argc, char** argv) {
   std::printf("  reused scratch      %8.2f us/pair\n", measure_scratch_s / kPairs * 1e6);
   std::printf("  speedup             %8.2fx\n", measure_speedup);
 
-  // --- Stage 4: software-detector (Section 3.7) pair loop ---
+  // --- Stage 4: Goertzel-detector (Section 3.7) pair loop ---
   ranging::RangingConfig sw_config = sim::grass_refined_ranging();
-  sw_config.software_detector = true;
+  sw_config.detector_mode = ranging::DetectorMode::kGoertzel;
   const ranging::RangingService sw_service(sw_config);
   constexpr int kSwPairs = 40;
   const double sw_alloc_s = best_of(3, [&] {
     math::Rng r(7);
     double sum = 0.0;
     for (int i = 0; i < kSwPairs; ++i) {
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r);
+      ranging::RangingScratch fresh;
+      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;
@@ -178,13 +182,13 @@ int main(int argc, char** argv) {
     ranging::RangingScratch scratch;
     double sum = 0.0;
     for (int i = 0; i < kSwPairs; ++i) {
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, scratch);
+      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
       sum += d.value_or(0.0);
     }
     g_sink = sum;
   });
   const double sw_speedup = sw_alloc_s / sw_scratch_s;
-  std::printf("\nsoftware-detector sequence, %d pairs (Goertzel + tone-table cache)\n", kSwPairs);
+  std::printf("\nGoertzel-detector sequence, %d pairs (Goertzel + tone-table cache)\n", kSwPairs);
   std::printf("  fresh buffers       %8.2f us/pair\n", sw_alloc_s / kSwPairs * 1e6);
   std::printf("  reused scratch      %8.2f us/pair\n", sw_scratch_s / kSwPairs * 1e6);
   std::printf("  speedup             %8.2fx\n", sw_speedup);

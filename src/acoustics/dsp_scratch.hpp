@@ -28,7 +28,7 @@ struct DspScratch {
   std::vector<double> noise;
   /// Per-sample Goertzel detection metric.
   std::vector<double> metric;
-  /// Per-sample binary detector output (block form of the bool series).
+  /// Per-sample binary detector output, 0 or 1.
   std::vector<std::uint8_t> fired;
 
   /// Grows every buffer to at least `num_samples`; never shrinks, so a

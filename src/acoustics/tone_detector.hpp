@@ -4,8 +4,8 @@
 // sample: "tone in the 4.0-4.5 kHz band present". The paper found it
 // unreliable -- misses under attenuation, false positives from noise -- but
 // with the crucial separation P[b(t)=1 | signal] >> P[b(t)=1 | no signal]
-// (Section 3.5) that the accumulation detector exploits. This model samples
-// that binary process from a ReceivedWindow.
+// (Section 3.5) that the accumulation detector exploits. This model gives
+// that binary process's per-sample firing thresholds over a ReceivedWindow.
 #pragma once
 
 #include <cstdint>
@@ -15,10 +15,9 @@
 
 namespace resloc::acoustics {
 
-/// Reusable buffers for ToneDetectorModel::sample_window_into; keep one per
-/// worker thread and reuse it across a campaign's pairs.
+/// Reusable per-window rasterization buffers; keep one per worker thread and
+/// reuse it across a campaign's pairs.
 struct DetectorScratch {
-  std::vector<double> best_snr;      ///< strongest audible tone per sample
   std::vector<std::uint8_t> tone;    ///< 1 = some tone interval covers the sample
   std::vector<std::uint8_t> burst;   ///< 1 = a noise burst covers the sample
 };
@@ -26,9 +25,7 @@ struct DetectorScratch {
 /// Conservative sample-index bracket of [start_s, end_s) within a window of
 /// `num_samples` starting at `window_start_s` with period `sample_period_s`:
 /// one sample of slack on each side absorbs the division rounding, and the
-/// exact edge refinement in interval_sample_span decides inside it. Shared by
-/// the hardware detector model and the software (Goertzel) path so both
-/// rasterize intervals identically.
+/// exact edge refinement in interval_sample_span decides inside it.
 void sample_bracket(double window_start_s, double sample_period_s, std::size_t num_samples,
                     double start_s, double end_s, std::size_t& lo, std::size_t& hi);
 
@@ -42,47 +39,31 @@ struct SampleSpan {
 /// sample whose time t = window_start_s + i * sample_period_s satisfies
 /// t >= start_s && t < end_s. Sample times are strictly increasing, so the
 /// predicate selects a contiguous range; the bracket is refined at its two
-/// edges with the same exact comparison the retired per-sample loop applied
-/// at every index, which is why callers can fill [lo, hi) wholesale and
-/// produce bit-identical rasterizations. All interval rasterization
-/// (hardware detector model, software envelope) goes through here so the
-/// paths cannot drift apart.
+/// edges with the exact per-sample comparison, which is why callers can fill
+/// [lo, hi) wholesale and produce bit-identical rasterizations. All interval
+/// rasterization (hardware detector model, sampled-audio envelope) goes
+/// through here so the paths cannot drift apart.
 SampleSpan interval_sample_span(double window_start_s, double sample_period_s,
                                 std::size_t num_samples, double start_s, double end_s);
 
-/// Samples the binary tone-detector output over a received window.
+/// The binary tone-detector output over a received window, as per-sample
+/// firing probabilities.
 class ToneDetectorModel {
  public:
   /// `sample_rate_hz` is the rate at which the microcontroller polls the
   /// detector (16 kHz in the paper's experiments).
   ToneDetectorModel(EnvironmentProfile env, double sample_rate_hz = 16000.0);
 
-  /// Produces `num_samples` binary outputs starting at the window start.
-  /// A faulty microphone suffers persistent elevated false positives
-  /// (Section 3.4, source 3/7).
-  std::vector<bool> sample_window(const ReceivedWindow& window, std::size_t num_samples,
-                                  const MicUnit& mic, resloc::math::Rng& rng) const;
-
-  /// sample_window() into caller-owned buffers: `out` receives the binary
-  /// series, `scratch` absorbs the per-call working storage. Output (and RNG
-  /// consumption) is bit-identical to sample_window(); the difference is the
-  /// cost model -- intervals are rasterized onto the samples they can touch
-  /// instead of every sample scanning every interval, and nothing allocates
-  /// once the buffers have grown to the window size.
-  void sample_window_into(const ReceivedWindow& window, std::size_t num_samples,
-                          const MicUnit& mic, resloc::math::Rng& rng, DetectorScratch& scratch,
-                          std::vector<bool>& out) const;
-
-  /// Block entry point: the deterministic front half of sample_window_into.
-  /// Writes the per-sample 53-bit Bernoulli thresholds (see
-  /// math::Rng::bernoulli_threshold) into `thresholds[0, num_samples)`:
-  /// base/burst false-positive rates fill whole interval spans, and tone
-  /// spans take the per-interval detection-probability threshold (max over
-  /// overlapping intervals -- threshold-of-probability is monotone in SNR, so
-  /// max of thresholds equals the threshold of the scalar path's best-SNR
-  /// max, bit for bit). Consumes no randomness; pair it with
-  /// SignalAccumulator::record_chirp_bernoulli, which draws the identical
-  /// one-uniform-per-sample stream the scalar path draws. Only scratch.tone
+  /// The deterministic half of the detector: writes the per-sample 53-bit
+  /// Bernoulli thresholds (see math::Rng::bernoulli_threshold) into
+  /// `thresholds[0, num_samples)`. Base/burst false-positive rates fill whole
+  /// interval spans; a faulty microphone suffers persistent elevated false
+  /// positives (Section 3.4, source 3/7); tone spans take the per-interval
+  /// detection-probability threshold (max over overlapping intervals --
+  /// threshold-of-probability is monotone in SNR, so the max threshold is the
+  /// threshold of the strongest tone). Consumes no randomness; pair it with
+  /// SignalAccumulator::record_chirp_bernoulli, which draws one uniform per
+  /// sample and fires where it falls under the threshold. Only scratch.tone
   /// is used as working storage.
   void fire_thresholds_block(const ReceivedWindow& window, std::size_t num_samples,
                              const MicUnit& mic, DetectorScratch& scratch,

@@ -25,29 +25,6 @@ double direct_bin_power(const double* samples, std::size_t count, std::size_t wi
   return re * re + im * im;
 }
 
-DirectDftFilter::DirectDftFilter(std::size_t window, int bin)
-    : samples_(window, 0.0), bin_(bin) {
-  assert(window > 0);
-}
-
-double DirectDftFilter::step(double sample) {
-  const double old = samples_[n_];
-  samples_[n_] = sample;
-  energy_ += sample * sample - old * old;
-  n_ = (n_ + 1) % samples_.size();
-  // Recompute the bin from scratch: O(window) multiplies per sample. Sample t
-  // lives at ring position t mod window, so the storage index doubles as the
-  // twiddle phase -- the same convention the sliding filter uses, making the
-  // two comparable term by term.
-  return direct_bin_power(samples_.data(), samples_.size(), samples_.size(), bin_);
-}
-
-void DirectDftFilter::reset() {
-  samples_.assign(samples_.size(), 0.0);
-  n_ = 0;
-  energy_ = 0.0;
-}
-
 GoertzelSlidingFilter::GoertzelSlidingFilter(std::size_t window, int bin)
     : samples_(window, 0.0), cos_(window), sin_(window), bin_(bin) {
   assert(window > 0);
@@ -76,7 +53,7 @@ double GoertzelSlidingFilter::step(double sample) {
 void GoertzelSlidingFilter::resync() {
   // Exact recomputation of the incremental sums; kills accumulated rounding
   // (and the energy sum's catastrophic-cancellation residue) so the filter
-  // tracks DirectDftFilter to ~1e-12 indefinitely.
+  // tracks the direct sum to ~1e-12 indefinitely.
   re_ = 0.0;
   im_ = 0.0;
   energy_ = 0.0;

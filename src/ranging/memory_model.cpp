@@ -18,9 +18,8 @@ std::size_t hardware_detector_buffer_bytes(double max_range_m, double sample_rat
   return (samples + 1) / 2;  // 4 bits per offset
 }
 
-std::size_t software_detector_buffer_bytes(double max_range_m, double sample_rate_hz,
-                                           double speed_of_sound_mps,
-                                           std::size_t bits_per_sample) {
+std::size_t dft_detector_buffer_bytes(double max_range_m, double sample_rate_hz,
+                                      double speed_of_sound_mps, std::size_t bits_per_sample) {
   const std::size_t samples = samples_for_range(max_range_m, sample_rate_hz, speed_of_sound_mps);
   return (samples * bits_per_sample + 7) / 8;
 }

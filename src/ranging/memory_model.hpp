@@ -19,9 +19,9 @@ std::size_t hardware_detector_buffer_bytes(double max_range_m, double sample_rat
 /// Buffer bytes for the software (DFT) detector: `bits_per_sample` of raw
 /// accumulated signal per offset (the paper's 2 kB at 20 m / 16 kHz
 /// corresponds to ~17 bits; we default to 16-bit accumulators).
-std::size_t software_detector_buffer_bytes(double max_range_m, double sample_rate_hz = 16000.0,
-                                           double speed_of_sound_mps = 340.0,
-                                           std::size_t bits_per_sample = 16);
+std::size_t dft_detector_buffer_bytes(double max_range_m, double sample_rate_hz = 16000.0,
+                                      double speed_of_sound_mps = 340.0,
+                                      std::size_t bits_per_sample = 16);
 
 /// Maximum measurable range given a RAM budget for the hardware-detector
 /// layout (inverse of hardware_detector_buffer_bytes). The MICA2's 4 kB total

@@ -13,21 +13,6 @@ namespace resloc::ranging {
 
 namespace {
 
-/// Resolves the configured front end, honouring the legacy software_detector
-/// alias, and rejects out-of-range enum values loudly.
-DetectorMode resolve_detector_mode(const RangingConfig& config) {
-  switch (config.detector_mode) {
-    case DetectorMode::kHardware:
-      return config.software_detector ? DetectorMode::kGoertzel : DetectorMode::kHardware;
-    case DetectorMode::kGoertzel:
-    case DetectorMode::kMatchedFilter:
-      return config.detector_mode;
-  }
-  throw std::invalid_argument(
-      "RangingConfig.detector_mode holds unknown DetectorMode value " +
-      std::to_string(static_cast<int>(config.detector_mode)) +
-      " (known: hardware, goertzel, ncc)");
-}
 /// Baseline detection: the raw tone detector's first sustained firing -- one
 /// chirp, counts are 0/1, and a short 3-of-4 debounce stands in for the
 /// hardware detector's own output latching.
@@ -70,60 +55,42 @@ std::string detector_mode_name(DetectorMode mode) {
   return "unknown";
 }
 
+void validate_ranging_config(const RangingConfig& config) {
+  const int chirps = config.pattern.num_chirps;
+  if (chirps < 1 || chirps > SignalAccumulator::kMaxChirps) {
+    throw std::invalid_argument(
+        "RangingConfig.pattern.num_chirps = " + std::to_string(chirps) +
+        " is outside [1, " + std::to_string(SignalAccumulator::kMaxChirps) +
+        "], the 4-bit counter cap; chirps past the cap would be paid for but never recorded");
+  }
+  switch (config.detector_mode) {
+    case DetectorMode::kHardware:
+    case DetectorMode::kGoertzel:
+    case DetectorMode::kMatchedFilter:
+      return;
+  }
+  throw std::invalid_argument(
+      "RangingConfig.detector_mode holds unknown DetectorMode value " +
+      std::to_string(static_cast<int>(config.detector_mode)) +
+      " (known: hardware, goertzel, ncc)");
+}
+
 RangingService::RangingService(RangingConfig config)
     : config_(std::move(config)),
       window_samples_(window_samples_for_range(config_.max_window_range_m,
                                                config_.pattern.chirp_duration_s, config_.tdoa)),
-      mode_(resolve_detector_mode(config_)),
-      detector_(config_.environment, config_.tdoa.sample_rate_hz) {}
-
-std::optional<double> RangingService::measure(double true_distance_m,
-                                              const acoustics::SpeakerUnit& speaker,
-                                              const acoustics::MicUnit& mic,
-                                              resloc::math::Rng& rng) const {
-  RangingScratch scratch;
-  return measure(true_distance_m, speaker, mic, rng, scratch);
+      detector_(config_.environment, config_.tdoa.sample_rate_hz) {
+  validate_ranging_config(config_);
 }
 
-std::optional<double> RangingService::measure(double true_distance_m,
-                                              const acoustics::SpeakerUnit& speaker,
-                                              const acoustics::MicUnit& mic,
-                                              resloc::math::Rng& rng,
-                                              RangingScratch& scratch) const {
-  return measure_impl(true_distance_m, speaker, mic, rng, scratch, /*link=*/nullptr,
-                      /*want_accumulated=*/false)
-      .distance_m;
-}
-
-std::optional<double> RangingService::measure(double true_distance_m,
-                                              const acoustics::SpeakerUnit& speaker,
-                                              const acoustics::MicUnit& mic,
-                                              resloc::math::Rng& rng, RangingScratch& scratch,
-                                              const acoustics::LinkResponse& link) const {
-  return measure_impl(true_distance_m, speaker, mic, rng, scratch, &link,
-                      /*want_accumulated=*/false)
-      .distance_m;
-}
-
-RangingAttempt RangingService::measure_with_diagnostics(double true_distance_m,
-                                                        const acoustics::SpeakerUnit& speaker,
-                                                        const acoustics::MicUnit& mic,
-                                                        resloc::math::Rng& rng) const {
-  RangingScratch scratch;
-  return measure_impl(true_distance_m, speaker, mic, rng, scratch, /*link=*/nullptr,
-                      /*want_accumulated=*/true);
-}
-
-RangingAttempt RangingService::measure_impl(double true_distance_m,
-                                            const acoustics::SpeakerUnit& speaker,
-                                            const acoustics::MicUnit& mic,
-                                            resloc::math::Rng& rng, RangingScratch& scratch,
-                                            const acoustics::LinkResponse* link,
-                                            bool want_accumulated) const {
-  // The per-pair acoustic-physics budget (~110 us/measure at survey density
-  // on the per-sample reference path) is the wall ROADMAP item 1 targets; the
-  // sub-stage spans below attribute it to the block kernels so regressions
-  // land on a named stage instead of "measure got slower".
+RangingAttempt RangingService::measure(double true_distance_m,
+                                       const acoustics::SpeakerUnit& speaker,
+                                       const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                                       RangingScratch& scratch,
+                                       const acoustics::LinkResponse* link) const {
+  // The sub-stage spans attribute the per-pair acoustic-physics budget (the
+  // wall ROADMAP item 1 targets) to named stages, so a regression lands on a
+  // stage instead of "measure got slower".
   RESLOC_SPAN("ranging/measure");
   obs::add(obs::Counter::kMeasureCalls);
   RangingAttempt attempt;
@@ -152,20 +119,16 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
   const acoustics::LinkResponse link_local =
       link != nullptr ? *link : acoustics::link_response(true_distance_m, config_.environment);
 
-  const bool block = config_.block_dsp;
-  if (block) scratch.dsp.resize(window_samples_);
-
+  scratch.dsp.resize(window_samples_);
+  {
+    // Zeroing the 4-bit counters is an O(window) accumulator pass.
+    RESLOC_SPAN("ranging/detection/accumulate");
+    scratch.accumulator.reset(window_samples_);
+  }
   // Accumulate the binary detector output over all chirps, each window
   // aligned by the radio sync of that chirp. Echoes from *earlier* chirps
   // fall into later windows naturally because every emission is visible to
   // every window.
-  if (block) {
-    // Zeroing the 4-bit counters is an O(window) accumulator pass.
-    RESLOC_SPAN("ranging/detection/accumulate");
-    scratch.accumulator.reset(window_samples_);
-  } else {
-    scratch.accumulator.reset(window_samples_);
-  }
   for (const acoustics::Emission& emission : scratch.emissions) {
     obs::add(obs::Counter::kChirpWindows);
     {
@@ -180,63 +143,41 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
                               window_duration_s, link_local, speaker, mic,
                               config_.environment, config_.channel_jitter, rng);
     }
-    switch (mode_) {
-      case DetectorMode::kGoertzel:
-        if (block) software_sample_window_block(mic, rng, scratch);
-        else software_sample_window(mic, rng, scratch);
-        break;
-      case DetectorMode::kMatchedFilter:
-        if (block) ncc_sample_window_block(mic, rng, scratch);
-        else ncc_sample_window(mic, rng, scratch);
-        break;
-      case DetectorMode::kHardware: {
-        if (block) {
-          // Deterministic threshold rasterization, then the fused draw +
-          // accumulate: together they consume exactly the one-uniform-per-
-          // sample stream the per-sample reference draws.
-          {
-            RESLOC_SPAN("ranging/detection/probability");
-            detector_.fire_thresholds_block(scratch.received, window_samples_, mic,
-                                            scratch.detector,
-                                            scratch.dsp.fire_threshold.data());
-          }
-          RESLOC_SPAN("ranging/detection/accumulate");
-          scratch.accumulator.record_chirp_bernoulli(rng, scratch.dsp.fire_threshold.data(),
-                                                     scratch.dsp.uniform_bits.data());
-        } else {
-          RESLOC_SPAN("ranging/detection");
-          detector_.sample_window_into(scratch.received, window_samples_, mic, rng,
-                                       scratch.detector, scratch.detector_output);
-        }
-        break;
+    if (config_.detector_mode == DetectorMode::kHardware) {
+      // Deterministic threshold rasterization, then the fused draw +
+      // accumulate: one uniform per sample, fired = uniform < threshold.
+      {
+        RESLOC_SPAN("ranging/detection/probability");
+        detector_.fire_thresholds_block(scratch.received, window_samples_, mic,
+                                        scratch.detector, scratch.dsp.fire_threshold.data());
       }
+      RESLOC_SPAN("ranging/detection/accumulate");
+      scratch.accumulator.record_chirp_bernoulli(rng, scratch.dsp.fire_threshold.data(),
+                                                 scratch.dsp.uniform_bits.data());
+      continue;
     }
-    if (block) {
-      if (mode_ != DetectorMode::kHardware) {
-        // The sampled-audio block paths leave the binary series in
-        // scratch.dsp.fired; fold it into the 4-bit counters. (The hardware
-        // block path accumulated inside record_chirp_bernoulli above.)
-        RESLOC_SPAN("ranging/detection/accumulate");
-        scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
-      }
+    // The sampled-audio paths leave the binary series in scratch.dsp.fired;
+    // fold it into the 4-bit counters.
+    if (config_.detector_mode == DetectorMode::kGoertzel) {
+      goertzel_window(mic, rng, scratch);
     } else {
-      // Folding the chirp's binary output into the 4-bit accumulator is an
-      // O(window) pass per chirp -- detection-stage work, same as the scan.
-      RESLOC_SPAN("ranging/detection");
-      scratch.accumulator.record_chirp(scratch.detector_output);
+      ncc_window(mic, rng, scratch);
     }
+    RESLOC_SPAN("ranging/detection/accumulate");
+    scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
   }
-
-  const DetectionParams detection = config_.baseline ? kBaselineDetection : config_.detection;
-  const std::vector<std::uint8_t>& samples = scratch.accumulator.samples();
 
   // One resumable pass over the accumulated counters: the scanner keeps its
   // sliding window count across pattern-verification rejections, so the whole
   // rejection loop is O(n) instead of restarting detect_signal after every
   // rejected candidate (O(window * rejections)).
-  const auto scan = [&]() {
+  const DetectionParams detection = config_.baseline ? kBaselineDetection : config_.detection;
+  const std::vector<std::uint8_t>& samples = scratch.accumulator.samples();
+  int index;
+  {
+    RESLOC_SPAN("ranging/detection/scan");
     SignalScanner scanner(samples, detection);
-    int index = scanner.next();
+    index = scanner.next();
     if (!config_.baseline && config_.verify_pattern) {
       while (index >= 0 &&
              !verify_preceding_silence(samples, index, config_.silence_gap_samples,
@@ -245,15 +186,6 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
         index = scanner.next();
       }
     }
-    return index;
-  };
-  int index;
-  if (block) {
-    RESLOC_SPAN("ranging/detection/scan");
-    index = scan();
-  } else {
-    RESLOC_SPAN("ranging/detection");
-    index = scan();
   }
 
   if (index >= 0) {
@@ -261,7 +193,6 @@ RangingAttempt RangingService::measure_impl(double true_distance_m,
     attempt.distance_m = distance_from_detection_index(index, config_.tdoa);
     obs::add(obs::Counter::kMeasureDetections);
   }
-  if (want_accumulated) attempt.accumulated = samples;
   return attempt;
 }
 
@@ -303,51 +234,18 @@ void RangingService::prepare_ncc(RangingScratch& scratch) const {
   }
 }
 
-void RangingService::software_sample_window(const acoustics::MicUnit& mic,
-                                            resloc::math::Rng& rng,
-                                            RangingScratch& scratch) const {
+void RangingService::goertzel_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                                     RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   prepare_goertzel(scratch);
 
-  {
-    RESLOC_SPAN("ranging/synthesis");
-    rasterize_window_envelope(mic, scratch);
-  }
-
-  // Synthesize and filter in one pass: each sample is the tone envelope on
-  // the cached table plus Gaussian noise, and the binary series is the sign
-  // of the noise-subtracted Goertzel metric. The metric at step i covers
-  // samples (i - kWindow, i], so it is shifted left by the half-window group
-  // delay to line onsets up with the hardware detector's per-sample
-  // convention; the residual latency is within the actuation-jitter budget.
-  // Synthesis and filtering are one fused per-sample loop on this path (the
-  // RNG draw order pins them together), so the span charges the pair to the
-  // detection stage -- the Goertzel recurrence dominates the loop body.
-  RESLOC_SPAN("ranging/detection");
-  GoertzelToneDetector& detector = *scratch.goertzel;
-  constexpr std::size_t kGroupDelay = SlidingDftFilter::kWindow / 2;
-  scratch.detector_output.assign(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double sigma = scratch.detector.burst[i] != 0 ? kBurstNoiseSigma : 1.0;
-    const double sample =
-        scratch.amplitude[i] * scratch.tone_table[i] + rng.gaussian(0.0, sigma);
-    const bool fired = detector.step(sample) > 0.0;
-    if (fired && i >= kGroupDelay) scratch.detector_output[i - kGroupDelay] = true;
-  }
-}
-
-void RangingService::software_sample_window_block(const acoustics::MicUnit& mic,
-                                                  resloc::math::Rng& rng,
-                                                  RangingScratch& scratch) const {
-  const std::size_t n = window_samples_;
-  prepare_goertzel(scratch);
-
-  // The reference path's fused synthesize-and-filter loop, decomposed into
-  // staged block kernels over contiguous buffers: envelope rasterization,
-  // standard-normal noise fill, tone + noise mix, Goertzel metric, group-
-  // delay-compensated thresholding. The RNG stream is identical because the
-  // fused loop drew its gaussians in sample order too, and
-  // gaussian(0, sigma) == sigma * gaussian(0, 1) bit for bit.
+  // Staged block kernels over contiguous buffers: envelope rasterization,
+  // standard-normal noise fill, tone + noise mix (sigma * N(0, 1), which is
+  // gaussian(0, sigma) bit for bit), Goertzel metric, then thresholding. The
+  // metric at step i covers samples (i - kWindow, i], so the series is
+  // shifted left by the half-window group delay to line onsets up with the
+  // hardware detector's per-sample convention; the residual latency is
+  // within the actuation-jitter budget.
   {
     RESLOC_SPAN("ranging/synthesis/envelope");
     rasterize_window_envelope(mic, scratch);
@@ -375,49 +273,8 @@ void RangingService::software_sample_window_block(const acoustics::MicUnit& mic,
   std::fill(fired + live, fired + n, std::uint8_t{0});
 }
 
-void RangingService::ncc_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                       RangingScratch& scratch) const {
-  const std::size_t n = window_samples_;
-  const double fs = config_.tdoa.sample_rate_hz;
-  const double frequency_hz = config_.pattern.tone_frequency_hz;
-
-  {
-    RESLOC_SPAN("ranging/synthesis");
-    rasterize_window_envelope(mic, scratch);
-  }
-
-  // The chirp template -- the same cached sin/cos tables the synthesis engine
-  // uses -- extended to cover the whole window, because the NCC prefix sums
-  // are phased by absolute sample index. Fetch once per window; nothing below
-  // touches the synthesizer again, so the view stays valid.
-  const acoustics::ToneTemplateView tpl = scratch.synth.tone_template_view(fs, frequency_hz, n);
-
-  // Synthesize the sampled audio. Same per-sample arithmetic and RNG draw
-  // order as the Goertzel path's fused loop (one gaussian per sample), so
-  // switching detector modes never shifts any other draw in the campaign.
-  {
-    RESLOC_SPAN("ranging/synthesis");
-    scratch.audio.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double sigma = scratch.detector.burst[i] != 0 ? kBurstNoiseSigma : 1.0;
-      scratch.audio[i] = scratch.amplitude[i] * tpl.sin_t[i] + rng.gaussian(0.0, sigma);
-    }
-  }
-
-  // Correlate and mark picked onsets.
-  prepare_ncc(scratch);
-  const auto chirp_samples =
-      static_cast<std::size_t>(std::llround(config_.pattern.chirp_duration_s * fs));
-  {
-    RESLOC_SPAN("ranging/detection");
-    scratch.ncc->detect_into(scratch.audio.data(), n, chirp_samples, tpl,
-                             scratch.detector_output);
-  }
-}
-
-void RangingService::ncc_sample_window_block(const acoustics::MicUnit& mic,
-                                             resloc::math::Rng& rng,
-                                             RangingScratch& scratch) const {
+void RangingService::ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                                RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   const double fs = config_.tdoa.sample_rate_hz;
   const double frequency_hz = config_.pattern.tone_frequency_hz;
@@ -429,9 +286,8 @@ void RangingService::ncc_sample_window_block(const acoustics::MicUnit& mic,
 
   const acoustics::ToneTemplateView tpl = scratch.synth.tone_template_view(fs, frequency_hz, n);
 
-  // Same decomposition as the block Goertzel path: noise fill then tone mix,
-  // drawing the identical one-gaussian-per-sample stream the reference
-  // path's fused synthesis loop draws.
+  // Same synthesis as the Goertzel path (one gaussian per sample), so
+  // switching detector modes never shifts any other draw in the campaign.
   {
     RESLOC_SPAN("ranging/synthesis/noise");
     rng.fill_gaussian_block(scratch.dsp.noise.data(), n);

@@ -87,24 +87,13 @@ struct RangingConfig {
   int silence_gap_samples = 48;
   int silence_max_noisy = 2;
 
-  /// Software tone detection (Section 3.7): platforms without a hardware
-  /// tone detector (e.g. the XSM mote) sample the microphone directly and
-  /// isolate the beacon band in software. When set, each chirp window is
-  /// synthesized as sampled audio (tone amplitude from the received SNR plus
-  /// unit-variance noise) and the binary series fed to the accumulation
-  /// detector is the sign of GoertzelToneDetector's noise-subtracted metric,
-  /// group-delay compensated. This prices every chirp of every pair at a
-  /// per-sample single-bin DFT -- affordable only because of the Goertzel
-  /// sliding recurrence and the cached tone tables (bench_ranging_goertzel
-  /// measures the naive direct-DFT alternative at ~96x the cost).
-  bool software_detector = false;
-  /// Noise-subtraction margin of the software detector (see DftToneDetector).
+  /// Noise-subtraction margin of the Goertzel detector (see DftToneDetector).
   double software_noise_scale = 6.0;
 
-  /// Detector front end (see DetectorMode). kHardware by default; the legacy
-  /// `software_detector` flag above is an alias for kGoertzel and still
-  /// selects it when this field is left at kHardware, so existing configs
-  /// and their RNG byte-streams are unchanged.
+  /// Detector front end (see DetectorMode). kHardware by default; kGoertzel
+  /// is the Section 3.7 software tone detector (XSM-class platforms without a
+  /// hardware detector sample the microphone and isolate the beacon band in
+  /// software).
   DetectorMode detector_mode = DetectorMode::kHardware;
 
   /// NCC detection threshold (kMatchedFilter only; see MatchedFilterNcc).
@@ -112,16 +101,6 @@ struct RangingConfig {
   /// Samples marked per picked NCC peak; must be >= detection.min_detections
   /// for a lone plateau to satisfy the window-density test.
   int ncc_peak_plateau = MatchedFilterNcc::kDefaultPeakPlateau;
-
-  /// Block-DSP measure path (default). Each chirp window runs as staged block
-  /// kernels over contiguous DspScratch buffers -- threshold rasterization +
-  /// lane-split Bernoulli draws (hardware), or envelope/noise/tone synthesis
-  /// blocks feeding a block Goertzel or NCC scan (sampled-audio modes) --
-  /// instead of the detector-owned per-sample loops. Draws the identical RNG
-  /// stream in the identical order and produces bit-equal estimates; set to
-  /// false to run the retained per-sample reference path (the equivalence
-  /// tests in test_dsp_kernels.cpp diff the two).
-  bool block_dsp = true;
 };
 
 /// Diagnostic output of one measurement attempt.
@@ -129,12 +108,19 @@ struct RangingAttempt {
   std::optional<double> distance_m;      ///< estimate; nullopt = no detection
   int detection_index = -1;              ///< sample index of the detected onset
   int rejected_detections = 0;           ///< candidates failing the pattern check
-  std::vector<std::uint8_t> accumulated; ///< post-accumulation counters
 };
+
+/// Rejects a configuration no RangingService can run faithfully, throwing
+/// std::invalid_argument that names the field: `pattern.num_chirps` outside
+/// [1, SignalAccumulator::kMaxChirps] (chirps past the 4-bit counter cap would
+/// be paid for but never recorded), or a `detector_mode` that is not a known
+/// DetectorMode (an out-of-range enum from a miswired cast or config merge
+/// must not silently fall back to the hardware front end).
+void validate_ranging_config(const RangingConfig& config);
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
 /// worker thread and passes it to every pair, so the per-sequence vectors
-/// (emission schedule, received window, detector output, 4-bit counters) are
+/// (emission schedule, received window, kernel buffers, 4-bit counters) are
 /// allocated once instead of once per pair -- the same buffer reuse the mote
 /// firmware's fixed RAM layout implies (Section 3.6.2).
 struct RangingScratch {
@@ -142,102 +128,74 @@ struct RangingScratch {
   std::vector<acoustics::Emission> emissions;
   acoustics::ReceivedWindow received;
   acoustics::DetectorScratch detector;
-  std::vector<bool> detector_output;
+  /// The 4-bit counters of the last measure(); read them here for
+  /// diagnostics (the measure path never copies them out).
   SignalAccumulator accumulator{0};
-  /// Software-detector mode only: per-sample tone amplitudes, the cached tone
-  /// table sin(2*pi*f*i/fs), and the Goertzel detector itself. The table and
-  /// detector are keyed by the (frequency, sample rate, noise scale) they were
-  /// built for, so a scratch migrating between differently-tuned services
-  /// rebuilds them instead of silently filtering the wrong band; within one
-  /// service they are built once and reused across every pair.
+  /// Sampled-audio modes: per-sample tone amplitudes. Goertzel mode: the
+  /// cached tone table sin(2*pi*f*i/fs) and the Goertzel detector itself.
+  /// The table and detector are keyed by the (frequency, sample rate, noise
+  /// scale) they were built for, so a scratch migrating between
+  /// differently-tuned services rebuilds them instead of silently filtering
+  /// the wrong band; within one service they are built once and reused
+  /// across every pair.
   std::vector<double> amplitude;
   std::vector<double> tone_table;
   double tone_frequency_hz = 0.0;
   double sample_rate_hz = 0.0;
   double noise_scale = 0.0;
   std::optional<GoertzelToneDetector> goertzel;
-  /// Matched-filter mode only: the synthesized window audio, the NCC scanner
+  /// The synthesized window audio, and in matched-filter mode the NCC scanner
   /// (keyed by its threshold/plateau like the Goertzel cache above), and the
   /// template source. The synthesizer is the same engine the synthesis path
   /// uses, so detection correlates against literally the cached chirp tables.
   std::vector<double> audio;
   std::optional<MatchedFilterNcc> ncc;
   acoustics::WaveformSynthesizer synth;
-  /// Block-DSP mode only: the contiguous kernel buffers (see dsp_scratch.hpp).
+  /// The contiguous kernel buffers (see dsp_scratch.hpp).
   acoustics::DspScratch dsp;
 };
 
 /// Simulates ranging sequences for one source/receiver pair.
 class RangingService {
  public:
-  /// Throws std::invalid_argument (naming the offending value) when
-  /// config.detector_mode is not a known DetectorMode -- an out-of-range
-  /// enum from a miswired cast or config merge must not silently fall back
-  /// to the hardware front end.
+  /// Throws std::invalid_argument (naming the field) when
+  /// validate_ranging_config rejects `config`.
   explicit RangingService(RangingConfig config);
 
-  /// Runs one full ranging sequence at the given true distance and returns
-  /// the distance estimate (nullopt when no signal is detected).
-  std::optional<double> measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                                const acoustics::MicUnit& mic, resloc::math::Rng& rng) const;
-
-  /// measure() reusing caller-owned buffers; result and RNG consumption are
-  /// identical to the allocating overload.
-  std::optional<double> measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                                const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                RangingScratch& scratch) const;
-
-  /// measure() with the distance-dependent channel response precomputed
-  /// (usually by a sim::ChannelResponseCache). `link` must equal
-  /// acoustics::link_response(true_distance_m, config().environment); the
-  /// result and RNG consumption are then bit-identical to the other
-  /// overloads, which compute the same response inline.
-  std::optional<double> measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                                const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                RangingScratch& scratch,
-                                const acoustics::LinkResponse& link) const;
-
-  /// Like measure() but returns full diagnostics.
-  RangingAttempt measure_with_diagnostics(double true_distance_m,
-                                          const acoustics::SpeakerUnit& speaker,
-                                          const acoustics::MicUnit& mic,
-                                          resloc::math::Rng& rng) const;
+  /// Runs one full ranging sequence at the given true distance; the result's
+  /// distance_m is the estimate (nullopt when no signal is detected). Each
+  /// chirp window runs as staged block kernels over `scratch.dsp` --
+  /// threshold rasterization + lane-split Bernoulli draws (hardware), or
+  /// envelope/noise/tone synthesis feeding a block Goertzel or NCC scan
+  /// (sampled-audio modes) -- and leaves the 4-bit counters in
+  /// `scratch.accumulator`.
+  ///
+  /// `link` optionally supplies the distance-dependent channel response
+  /// precomputed (usually by a sim::ChannelResponseCache); it must equal
+  /// acoustics::link_response(true_distance_m, config().environment), and
+  /// the result and RNG consumption are then bit-identical to passing
+  /// nullptr, which computes the same response inline.
+  RangingAttempt measure(double true_distance_m, const acoustics::SpeakerUnit& speaker,
+                         const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                         RangingScratch& scratch,
+                         const acoustics::LinkResponse* link = nullptr) const;
 
   /// Number of samples in the per-chirp window.
   std::size_t window_samples() const { return window_samples_; }
 
-  /// The detector front end actually in use (config.detector_mode with the
-  /// legacy software_detector alias resolved).
-  DetectorMode detector_mode() const { return mode_; }
-
   const RangingConfig& config() const { return config_; }
 
  private:
-  RangingAttempt measure_impl(double true_distance_m, const acoustics::SpeakerUnit& speaker,
-                              const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                              RangingScratch& scratch, const acoustics::LinkResponse* link,
-                              bool want_accumulated) const;
+  /// Section 3.7 path: envelope -> noise -> tone-mix -> Goertzel blocks over
+  /// scratch.dsp, the group-delay-compensated binary series into
+  /// scratch.dsp.fired.
+  void goertzel_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                       RangingScratch& scratch) const;
 
-  /// Section 3.7 path, per-sample reference: synthesizes the window's sampled
-  /// audio and runs the Goertzel detector in one fused loop; fills
-  /// scratch.detector_output like the hardware path.
-  void software_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                              RangingScratch& scratch) const;
-
-  /// Block form of software_sample_window: envelope -> noise -> tone-mix ->
-  /// Goertzel blocks over scratch.dsp, bit-equal output into scratch.dsp.fired.
-  void software_sample_window_block(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                                    RangingScratch& scratch) const;
-
-  /// Matched-filter path, per-sample reference: synthesizes the window's
-  /// sampled audio (same RNG draw order as the Goertzel path) and marks
-  /// NCC-picked chirp onsets.
-  void ncc_sample_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                         RangingScratch& scratch) const;
-
-  /// Block form of ncc_sample_window, bit-equal marks into scratch.dsp.fired.
-  void ncc_sample_window_block(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                               RangingScratch& scratch) const;
+  /// Matched-filter path: the same synthesis blocks, then NCC-picked chirp
+  /// onsets marked into scratch.dsp.fired.
+  void ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+                  RangingScratch& scratch) const;
 
   /// Builds or retunes the scratch's cached tone table + Goertzel detector
   /// for this service and resets the detector for a fresh window.
@@ -248,14 +206,11 @@ class RangingService {
 
   /// Shared by both sampled-audio paths: rasterizes the window's signal
   /// intervals into scratch.amplitude and its noise bursts into
-  /// scratch.detector.burst. Consumes no randomness. Callers wrap it in the
-  /// synthesis span of their path ("ranging/synthesis" on the per-sample
-  /// reference, "ranging/synthesis/envelope" on the block path).
+  /// scratch.detector.burst. Consumes no randomness.
   void rasterize_window_envelope(const acoustics::MicUnit& mic, RangingScratch& scratch) const;
 
   RangingConfig config_;
   std::size_t window_samples_;
-  DetectorMode mode_;
   acoustics::ToneDetectorModel detector_;
 };
 

@@ -99,15 +99,6 @@ void SignalAccumulator::reset(std::size_t num_samples) {
   chirps_ = 0;
 }
 
-void SignalAccumulator::record_chirp(const std::vector<bool>& detector_output) {
-  assert(detector_output.size() == samples_.size());
-  if (chirps_ >= kMaxChirps) return;  // 4-bit counters are full
-  ++chirps_;
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    if (detector_output[i] && samples_[i] < 15) ++samples_[i];
-  }
-}
-
 void SignalAccumulator::record_chirp_block(const std::uint8_t* fired, std::size_t n) {
   assert(n == samples_.size());
   if (chirps_ >= kMaxChirps) return;  // 4-bit counters are full
@@ -119,8 +110,8 @@ void SignalAccumulator::record_chirp_bernoulli(resloc::math::Rng& rng,
                                                const std::uint64_t* thresholds,
                                                std::uint64_t* bits_scratch) {
   const std::size_t n = samples_.size();
-  // The scalar reference draws one bernoulli per sample regardless of whether
-  // the counters are full; keep that draw order so RNG streams stay aligned.
+  // One draw per sample whether or not the counters are full, so the stream
+  // never depends on the cap.
   rng.fill_uniform_bits_block(bits_scratch, n);
   if (chirps_ >= kMaxChirps) return;
   ++chirps_;

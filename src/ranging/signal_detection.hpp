@@ -34,20 +34,18 @@ class SignalAccumulator {
   /// per sample on the mote, modeled by capping counters at 15.
   explicit SignalAccumulator(std::size_t num_samples);
 
-  /// Adds one chirp's binary detector output (must be num_samples long).
-  void record_chirp(const std::vector<bool>& detector_output);
-
-  /// record_chirp over a contiguous 0/1 buffer (the block-DSP `fired` lane).
-  /// Same saturation and chirp-cap semantics as the vector<bool> form, with
-  /// a branch-free accumulate the compiler can vectorize.
+  /// Adds one chirp's binary detector output, a contiguous 0/1 buffer of
+  /// n == num_samples entries (the block-DSP `fired` lane), with a
+  /// branch-free saturating accumulate the compiler can vectorize. Chirps
+  /// past kMaxChirps are not recorded.
   void record_chirp_block(const std::uint8_t* fired, std::size_t n);
 
-  /// Fused Bernoulli-draw + accumulate for the block hardware-detector path:
-  /// draws num_samples uniform 53-bit variates from `rng` (always -- matching
-  /// the scalar path, which consumes RNG even once the 4-bit counters are
-  /// full) into `bits_scratch`, then accumulates fired[i] = bits[i] <
-  /// thresholds[i]. Bit-equal to per-sample rng.bernoulli(p_i) followed by
-  /// record_chirp, because bernoulli(p) is uniform_bits() < bernoulli_threshold(p).
+  /// Fused Bernoulli-draw + accumulate for the hardware-detector path: draws
+  /// num_samples uniform 53-bit variates from `rng` (always, even once the
+  /// 4-bit counters are full, so the stream never depends on the cap) into
+  /// `bits_scratch`, then accumulates fired[i] = bits[i] < thresholds[i] --
+  /// per-sample rng.bernoulli(p_i), since bernoulli(p) is
+  /// uniform_bits() < bernoulli_threshold(p).
   void record_chirp_bernoulli(resloc::math::Rng& rng, const std::uint64_t* thresholds,
                               std::uint64_t* bits_scratch);
 

@@ -14,7 +14,6 @@
 #include "fault/fault_plan.hpp"
 #include "obs/telemetry.hpp"
 #include "ranging/ranging_service.hpp"
-#include "ranging/signal_detection.hpp"
 #include "sim/deployments.hpp"
 #include "sim/scenario_registry.hpp"
 
@@ -120,12 +119,6 @@ TrialOutcome CampaignRunner::run_trial(const SweepSpec& spec, const TrialSpec& t
         config.campaign.ranging.environment = acoustics::environment_by_name(env_name);
       }
       if (trial.chirp_count > 0) {
-        if (trial.chirp_count > ranging::SignalAccumulator::kMaxChirps) {
-          throw std::invalid_argument(
-              "chirp count " + std::to_string(trial.chirp_count) + " exceeds the 4-bit counter cap (" +
-              std::to_string(ranging::SignalAccumulator::kMaxChirps) +
-              "); chirps past the cap would be paid for but never recorded");
-        }
         config.campaign.ranging.pattern.num_chirps = trial.chirp_count;
       }
       if (trial.detection_threshold > 0) {
@@ -151,6 +144,9 @@ TrialOutcome CampaignRunner::run_trial(const SweepSpec& spec, const TrialSpec& t
         config.campaign.faults =
             fault::plan_from_kind(trial.fault_kind, trial.fault_intensity);
       }
+      // Out-of-range ranging fields (a chirp count past the 4-bit counter
+      // cap, ...) fail here as config errors, not later mid-measurement.
+      ranging::validate_ranging_config(config.campaign.ranging);
 
       const pipeline::LocalizationPipeline pipe(config);
 

@@ -119,32 +119,13 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
     }
   }
 
-  // Front end: the in-range pair set and the skip count. The grid path finds
-  // both in O(n + in-range pairs); the dense reference path replicates the
-  // seed's O(n^2) structure (full shadowing matrix filled from the same
-  // per-pair substreams, so the two paths stay byte-equal).
+  // Front end: the in-range pair set and the skip count, found by the grid
+  // in O(n + in-range pairs).
   const std::size_t total_pairs = n < 2 ? 0 : n * (n - 1) / 2;
   resloc::math::GridPairEnumerator pairs;
-  std::vector<double> shadowing;  // dense path only
-  if (config.dense_pair_scan) {
-    shadowing.assign(n * n, 0.0);
-    for (NodeId i = 0; i < n; ++i) {
-      for (NodeId j = static_cast<NodeId>(i + 1); j < n; ++j) {
-        const double s =
-            link_shadowing_db(shadow_base, i, j, n, config.link_shadowing_stddev_db);
-        shadowing[i * n + j] = s;
-        shadowing[j * n + i] = s;
-        if (resloc::math::distance(deployment.positions[i], deployment.positions[j]) >
-            config.simulate_within_m) {
-          ++data.skipped_pairs;
-        }
-      }
-    }
-  } else {
-    pairs.build(deployment.positions.data(), n, config.simulate_within_m,
-                /*include_equal=*/true);
-    data.skipped_pairs = total_pairs - pairs.pair_count();
-  }
+  pairs.build(deployment.positions.data(), n, config.simulate_within_m,
+              /*include_equal=*/true);
+  data.skipped_pairs = total_pairs - pairs.pair_count();
 
   // Measurement turns: each (round, source) is one task on its own
   // substream, staging its estimates into its own slot. Thread workers pull
@@ -182,11 +163,8 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
       }
       // Shadowing is applied as a reduction of the effective source level.
       resloc::acoustics::SpeakerUnit speaker = speakers[source];
-      speaker.output_db +=
-          config.dense_pair_scan
-              ? shadowing[source * n + receiver]
-              : link_shadowing_db(shadow_base, source, receiver, n,
-                                  config.link_shadowing_stddev_db);
+      speaker.output_db += link_shadowing_db(shadow_base, source, receiver, n,
+                                             config.link_shadowing_stddev_db);
       // The distance-dependent channel response comes from the per-worker
       // cache: every round revisits the same link distances, so the log10
       // spreading term is paid once per distinct distance per trial. The
@@ -194,7 +172,7 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
       // byte-identical to the uncached path.
       const acoustics::LinkResponse& link = channel_cache.lookup(true_d);
       const auto estimate =
-          service.measure(true_d, speaker, mics[receiver], stream, scratch, link);
+          service.measure(true_d, speaker, mics[receiver], stream, scratch, &link).distance_m;
       if (estimate) {
         double measured = *estimate;
         if (injector.active()) {
@@ -203,19 +181,9 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
         out.push_back({receiver, true_d, measured});
       }
     };
-    if (config.dense_pair_scan) {
-      for (NodeId receiver = 0; receiver < n; ++receiver) {
-        if (receiver == source) continue;
-        const double true_d =
-            resloc::math::distance(deployment.positions[source], deployment.positions[receiver]);
-        if (true_d > config.simulate_within_m) continue;
-        attempt(receiver, true_d);
-      }
-    } else {
-      pairs.for_each_neighbor(source, [&](std::size_t receiver, double true_d) {
-        attempt(static_cast<NodeId>(receiver), true_d);
-      });
-    }
+    pairs.for_each_neighbor(source, [&](std::size_t receiver, double true_d) {
+      attempt(static_cast<NodeId>(receiver), true_d);
+    });
   };
 
   const std::size_t threads = std::min<std::size_t>(

@@ -11,6 +11,7 @@
 #include "acoustics/signal_synth.hpp"
 #include "pipeline/localization_pipeline.hpp"
 #include "ranging/dft_detector.hpp"
+#include "reference/direct_dft.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/sweep_spec.hpp"
 #include "sim/deployments.hpp"
@@ -80,7 +81,7 @@ TEST(AcousticRegression, GoertzelMatchesDirectDftOnSharedTones) {
                         rng);
 
   for (const int bin : {9, 10, 6}) {
-    resloc::ranging::DirectDftFilter direct(resloc::ranging::SlidingDftFilter::kWindow, bin);
+    resloc::reference::DirectDftFilter direct(resloc::ranging::SlidingDftFilter::kWindow, bin);
     resloc::ranging::GoertzelSlidingFilter fast(resloc::ranging::SlidingDftFilter::kWindow, bin);
     double max_delta = 0.0;
     for (double s : wave) {
@@ -118,7 +119,7 @@ TEST(AcousticRegression, SoftwareDetectorRangesShortDistances) {
   // produces the binary series. The refined pattern detection on top must
   // still range a 5 m grass link reliably and to sub-meter accuracy.
   resloc::ranging::RangingConfig config;
-  config.software_detector = true;
+  config.detector_mode = resloc::ranging::DetectorMode::kGoertzel;
   const resloc::ranging::RangingService service(config);
   const resloc::acoustics::SpeakerUnit speaker;
   const resloc::acoustics::MicUnit mic;
@@ -129,7 +130,7 @@ TEST(AcousticRegression, SoftwareDetectorRangesShortDistances) {
   int detected = 0;
   double total_abs_error_m = 0.0;
   for (int i = 0; i < 12; ++i) {
-    const auto estimate = service.measure(true_distance_m, speaker, mic, rng, scratch);
+    const auto estimate = service.measure(true_distance_m, speaker, mic, rng, scratch).distance_m;
     if (!estimate) continue;
     ++detected;
     total_abs_error_m += std::abs(*estimate - true_distance_m);
@@ -138,11 +139,11 @@ TEST(AcousticRegression, SoftwareDetectorRangesShortDistances) {
   EXPECT_LT(total_abs_error_m / static_cast<double>(detected), 1.0);
 }
 
-TEST(AcousticRegression, SoftwareDetectorScratchMatchesAllocatingOverload) {
-  // The buffer-reuse overload must stay draw-for-draw identical to the
-  // allocating one in software-detector mode too.
+TEST(AcousticRegression, SoftwareDetectorReusedScratchMatchesFreshScratch) {
+  // A reused scratch must stay draw-for-draw identical to a fresh one in
+  // Goertzel-detector mode too (the cached tone table and detector).
   resloc::ranging::RangingConfig config;
-  config.software_detector = true;
+  config.detector_mode = resloc::ranging::DetectorMode::kGoertzel;
   const resloc::ranging::RangingService service(config);
   const resloc::acoustics::SpeakerUnit speaker;
   const resloc::acoustics::MicUnit mic;
@@ -150,8 +151,9 @@ TEST(AcousticRegression, SoftwareDetectorScratchMatchesAllocatingOverload) {
   for (int i = 0; i < 4; ++i) {
     Rng rng_a(77 + i);
     Rng rng_b(77 + i);
-    const auto fresh = service.measure(8.0, speaker, mic, rng_a);
-    const auto reused = service.measure(8.0, speaker, mic, rng_b, scratch);
+    resloc::ranging::RangingScratch fresh_scratch;
+    const auto fresh = service.measure(8.0, speaker, mic, rng_a, fresh_scratch).distance_m;
+    const auto reused = service.measure(8.0, speaker, mic, rng_b, scratch).distance_m;
     EXPECT_EQ(fresh.has_value(), reused.has_value());
     if (fresh && reused) {
       EXPECT_DOUBLE_EQ(*fresh, *reused);

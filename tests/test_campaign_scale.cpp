@@ -12,6 +12,7 @@
 
 #include "math/grid_pairs.hpp"
 #include "math/rng.hpp"
+#include "reference/dense_campaign.hpp"
 #include "sim/field_experiment.hpp"
 #include "sim/measurement_gen.hpp"
 #include "sim/scenarios.hpp"
@@ -24,6 +25,8 @@ using resloc::core::NodeId;
 using resloc::math::GridPairEnumerator;
 using resloc::math::Rng;
 using resloc::math::Vec2;
+using resloc::reference::MeasurePath;
+using resloc::reference::PairScan;
 
 using PairList = std::vector<std::tuple<std::size_t, std::size_t, double>>;
 
@@ -182,9 +185,9 @@ TEST(FieldExperimentScale, GridFrontEndMatchesDenseReferenceBitExactly) {
 
   Rng rng_grid(31);
   const auto grid = resloc::sim::run_field_experiment(deployment, config, rng_grid);
-  config.dense_pair_scan = true;
   Rng rng_dense(31);
-  const auto dense = resloc::sim::run_field_experiment(deployment, config, rng_dense);
+  const auto dense = resloc::reference::run_field_experiment(
+      deployment, config, rng_dense, PairScan::kDense, MeasurePath::kProduction);
 
   EXPECT_GT(grid.samples.size(), 0u);
   expect_same_campaign(grid, dense);
@@ -202,14 +205,29 @@ TEST(FieldExperimentScale, ThreadCountDoesNotChangeBytes) {
   config.threads = 4;
   Rng rng4(97);
   const auto four = resloc::sim::run_field_experiment(deployment, config, rng4);
-  // The dense reference path shards identically.
-  config.dense_pair_scan = true;
+  // The single-threaded dense reference matches the sharded campaign.
   Rng rng_dense(97);
-  const auto dense4 = resloc::sim::run_field_experiment(deployment, config, rng_dense);
+  const auto dense4 = resloc::reference::run_field_experiment(
+      deployment, config, rng_dense, PairScan::kDense, MeasurePath::kProduction);
 
   EXPECT_GT(one.samples.size(), 0u);
   expect_same_campaign(one, four);
   expect_same_campaign(one, dense4);
+}
+
+TEST(FieldExperimentScale, PerSampleReferenceCampaignMatchesProduction) {
+  // The production block-DSP measure path against the per-sample reference
+  // measure, campaign-wide: bench_campaign_scale's survey gate in miniature.
+  const Deployment deployment = small_field(20, 45.0);
+  const resloc::sim::FieldExperimentConfig config =
+      resloc::sim::grass_campaign_config(/*rounds=*/2);
+  Rng rng_block(53);
+  const auto block = resloc::sim::run_field_experiment(deployment, config, rng_block);
+  Rng rng_ref(53);
+  const auto per_sample = resloc::reference::run_field_experiment(
+      deployment, config, rng_ref, PairScan::kGrid, MeasurePath::kPerSample);
+  EXPECT_GT(block.samples.size(), 0u);
+  expect_same_campaign(block, per_sample);
 }
 
 TEST(FieldExperimentScale, SkippedPairsCountsOutOfRangePairsOnce) {
@@ -219,9 +237,10 @@ TEST(FieldExperimentScale, SkippedPairsCountsOutOfRangePairsOnce) {
   d.positions = {{0.0, 0.0}, {5.0, 0.0}, {500.0, 0.0}};
   resloc::sim::FieldExperimentConfig config = resloc::sim::grass_campaign_config(/*rounds=*/3);
   for (const bool dense : {false, true}) {
-    config.dense_pair_scan = dense;
     Rng rng(3);
-    const auto data = resloc::sim::run_field_experiment(d, config, rng);
+    const auto data = dense ? resloc::reference::run_field_experiment(
+                                  d, config, rng, PairScan::kDense, MeasurePath::kProduction)
+                            : resloc::sim::run_field_experiment(d, config, rng);
     EXPECT_EQ(data.skipped_pairs, 2u) << (dense ? "dense" : "grid");
   }
 }

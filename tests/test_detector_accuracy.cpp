@@ -73,6 +73,7 @@ OffsetSummary offset_summary(const resloc::ranging::RangingConfig& config,
   const resloc::ranging::RangingService service(config);
   resloc::acoustics::MicUnit mic;
   mic.sensitivity_db = mic_sensitivity_db;
+  resloc::ranging::RangingScratch scratch;
   OffsetSummary summary;
   std::vector<double> abs_offsets;
   std::vector<double> signed_offsets;
@@ -82,7 +83,7 @@ OffsetSummary offset_summary(const resloc::ranging::RangingConfig& config,
     for (int t = 0; t < trials; ++t) {
       resloc::math::Rng stream = rng.fork(t);
       ++summary.attempts;
-      const auto attempt = service.measure_with_diagnostics(d, {}, mic, stream);
+      const auto attempt = service.measure(d, {}, mic, stream, scratch);
       if (!attempt.distance_m) continue;
       ++summary.detections;
       const double off = attempt.detection_index - expected;
@@ -206,11 +207,6 @@ TEST(DetectorAccuracy, DetectorModeNamesRoundTrip) {
                   resloc::ranging::detector_mode_name(mode)),
               mode);
   }
-  // The legacy boolean is an alias for the Goertzel mode.
-  resloc::ranging::RangingConfig config = fixture_config(DetectorMode::kHardware, false);
-  config.software_detector = true;
-  const resloc::ranging::RangingService service(config);
-  EXPECT_EQ(service.detector_mode(), DetectorMode::kGoertzel);
 }
 
 // --- Robust filtering cuts the 22-30 m error tail ---

@@ -1,11 +1,12 @@
 // Bit-equality tests for the block-DSP kernels of the measure path.
 //
-// Every block kernel has a retained per-sample reference (the pre-refactor
-// loop); these tests drive both over the same inputs and the same RNG stream
-// and require last-ulp identical outputs AND identical post-call generator
-// state, at odd block sizes, partial tails, and window-boundary offsets. The
-// capstone test diffs RangingService end to end with block_dsp on vs off for
-// all three detector front ends.
+// Every block kernel has a per-sample reference (the loop it replaced, kept
+// in tests/reference/per_sample_ranging.hpp); these tests drive both over the
+// same inputs and the same RNG stream and require last-ulp identical outputs
+// AND identical post-call generator state, at odd block sizes, partial tails,
+// and window-boundary offsets. The capstone test diffs RangingService::measure
+// end to end against the per-sample reference measure for all three detector
+// front ends.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +24,7 @@
 #include "ranging/matched_filter.hpp"
 #include "ranging/ranging_service.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/per_sample_ranging.hpp"
 #include "sim/channel_cache.hpp"
 
 namespace {
@@ -30,6 +32,7 @@ namespace {
 using resloc::math::Rng;
 namespace acoustics = resloc::acoustics;
 namespace ranging = resloc::ranging;
+namespace reference = resloc::reference;
 
 // Sizes chosen to cross the 4-draw quad stride of fill_uniform_bits_block and
 // the Goertzel 256-step resync period, plus odd/partial-tail cases.
@@ -160,11 +163,11 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
 
     // Reference: the per-sample detector loop.
     Rng ref_rng(1000 + trial, 11);
-    acoustics::DetectorScratch ref_scratch;
-    std::vector<bool> ref_out;
-    detector.sample_window_into(w, n, mic, ref_rng, ref_scratch, ref_out);
-    ranging::SignalAccumulator ref_acc(n);
-    ref_acc.record_chirp(ref_out);
+    reference::PerSampleScratch ref_scratch;
+    reference::sample_detector_window(env, detector.sample_rate_hz(), w, n, mic, ref_rng,
+                                      ref_scratch);
+    reference::PerSampleAccumulator ref_acc(n);
+    ref_acc.record_chirp(ref_scratch.fired);
 
     // Block: thresholds + fused draw/accumulate.
     Rng blk_rng(1000 + trial, 11);
@@ -180,8 +183,8 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
 }
 
 TEST(HardwareBlock, BernoulliDrawsEvenWhenCountersFull) {
-  // The scalar path consumes RNG for every chirp past kMaxChirps; the fused
-  // block accumulate must too, or streams desynchronize at chirp 16.
+  // The per-sample reference consumes RNG for every chirp past kMaxChirps;
+  // the fused block accumulate must too, or streams desynchronize at chirp 16.
   const std::size_t n = 37;
   std::vector<std::uint64_t> thresholds(n, Rng::bernoulli_threshold(0.5));
   std::vector<std::uint64_t> bits(n);
@@ -201,7 +204,8 @@ TEST(RecordChirpBlock, MatchesVectorBoolForm) {
   Rng rng(99, 2);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 300));
-    ranging::SignalAccumulator a(n), b(n);
+    reference::PerSampleAccumulator a(n);
+    ranging::SignalAccumulator b(n);
     for (int chirp = 0; chirp < 18; ++chirp) {
       std::vector<bool> bools(n);
       std::vector<std::uint8_t> bytes(n);
@@ -269,12 +273,12 @@ TEST(MatchedFilterBlock, ByteMarksMatchBoolMarks) {
       const bool in_chirp = i >= n / 3 && i < n / 3 + chirp;
       x[i] = (in_chirp ? 3.0 * tpl.sin_t[i] : 0.0) + rng.gaussian();
     }
-    std::vector<bool> bool_marks;
-    filt.detect_into(x.data(), n, chirp, tpl, bool_marks);
+    reference::PerSampleScratch ref;
+    reference::ncc_marks(filt, x.data(), n, chirp, tpl, ref);
     std::vector<std::uint8_t> byte_marks(n, 0xCC);
     filt.detect_into(x.data(), n, chirp, tpl, byte_marks.data());
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(byte_marks[i] != 0, static_cast<bool>(bool_marks[i]))
+      ASSERT_EQ(byte_marks[i] != 0, static_cast<bool>(ref.fired[i]))
           << "trial=" << trial << " i=" << i;
     }
   }
@@ -345,17 +349,16 @@ TEST(LinkResponse, RecomposesSnrBitExactly) {
   }
 }
 
-/// End-to-end: RangingService with block_dsp on vs off must agree on every
-/// diagnostic field and leave the generator in the identical state, for all
-/// three detector front ends.
+/// End-to-end: RangingService::measure and the per-sample reference measure
+/// must agree on every diagnostic field and the 4-bit counters, and leave the
+/// generator in the identical state, for all three detector front ends.
 void expect_service_equivalence(ranging::DetectorMode mode) {
   ranging::RangingConfig cfg;
   cfg.detector_mode = mode;
   cfg.max_window_range_m = 22.0;
-  cfg.block_dsp = false;
-  const ranging::RangingService reference(cfg);
-  cfg.block_dsp = true;
-  const ranging::RangingService block(cfg);
+  const ranging::RangingService service(cfg);
+  reference::PerSampleScratch ref_scratch;
+  ranging::RangingScratch blk_scratch;
 
   Rng unit_rng(61, 2);
   const acoustics::UnitVariationModel units;
@@ -369,8 +372,8 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
     Rng ref_rng(900 + trial, 21);
     Rng blk_rng(900 + trial, 21);
     const ranging::RangingAttempt a =
-        reference.measure_with_diagnostics(d, speaker, mic, ref_rng);
-    const ranging::RangingAttempt b = block.measure_with_diagnostics(d, speaker, mic, blk_rng);
+        reference::measure(service, d, speaker, mic, ref_rng, ref_scratch);
+    const ranging::RangingAttempt b = service.measure(d, speaker, mic, blk_rng, blk_scratch);
 
     ASSERT_EQ(a.distance_m.has_value(), b.distance_m.has_value()) << "trial=" << trial;
     if (a.distance_m) {
@@ -379,7 +382,8 @@ void expect_service_equivalence(ranging::DetectorMode mode) {
     }
     ASSERT_EQ(a.detection_index, b.detection_index) << "trial=" << trial;
     ASSERT_EQ(a.rejected_detections, b.rejected_detections) << "trial=" << trial;
-    ASSERT_EQ(a.accumulated, b.accumulated) << "trial=" << trial;
+    ASSERT_EQ(ref_scratch.accumulator.samples(), blk_scratch.accumulator.samples())
+        << "trial=" << trial;
     ASSERT_EQ(ref_rng.uniform_bits(), blk_rng.uniform_bits()) << "trial=" << trial;
     ASSERT_EQ(ref_rng.gaussian(), blk_rng.gaussian()) << "trial=" << trial;
   }
@@ -407,9 +411,9 @@ TEST(RangingServiceBlockEquivalence, PrecomputedLinkMatchesInline) {
     const double d = 0.3 + 2.3 * trial;
     Rng r1(70 + trial, 1), r2(70 + trial, 1);
     ranging::RangingScratch s1, s2;
-    const auto inline_est = service.measure(d, speaker, mic, r1, s1);
+    const auto inline_est = service.measure(d, speaker, mic, r1, s1).distance_m;
     const acoustics::LinkResponse link = acoustics::link_response(d, cfg.environment);
-    const auto cached_est = service.measure(d, speaker, mic, r2, s2, link);
+    const auto cached_est = service.measure(d, speaker, mic, r2, s2, &link).distance_m;
     ASSERT_EQ(inline_est.has_value(), cached_est.has_value());
     if (inline_est) {
       ASSERT_EQ(std::memcmp(&*inline_est, &*cached_est, sizeof(double)), 0);

@@ -16,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "math/rng.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
+#include "ranging/ranging_service.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/sweep_spec.hpp"
 
@@ -83,6 +85,55 @@ std::map<std::string, std::uint64_t> stage_counts(const obs::TelemetrySnapshot& 
     }
   }
   return out;
+}
+
+TEST_F(ObsTest, MeasureEmitsExactlyTheArchitectureSpanTree) {
+  // One measure per detector front end must emit exactly the sub-stages of
+  // the docs/ARCHITECTURE.md span table, once per chirp where per-chirp; the
+  // retired coarse names never appear.
+  using resloc::ranging::DetectorMode;
+  constexpr std::uint64_t kChirps = 10;
+  const std::map<std::string, std::uint64_t> common = {
+      {"ranging/measure", 1},
+      {"ranging/synthesis/schedule", 1},
+      {"ranging/channel", kChirps},
+      {"ranging/detection/accumulate", kChirps + 1},  // + the counter reset
+      {"ranging/detection/scan", 1},
+  };
+  const std::map<std::string, std::uint64_t> sampled_audio = {
+      {"ranging/synthesis/envelope", kChirps},
+      {"ranging/synthesis/noise", kChirps},
+      {"ranging/synthesis/tone", kChirps},
+  };
+  const auto merged = [](std::map<std::string, std::uint64_t> a,
+                         const std::map<std::string, std::uint64_t>& b) {
+    a.insert(b.begin(), b.end());
+    return a;
+  };
+  const std::map<DetectorMode, std::map<std::string, std::uint64_t>> expected = {
+      {DetectorMode::kHardware, merged(common, {{"ranging/detection/probability", kChirps}})},
+      {DetectorMode::kGoertzel,
+       merged(merged(common, sampled_audio), {{"ranging/detection/goertzel", kChirps}})},
+      {DetectorMode::kMatchedFilter,
+       merged(merged(common, sampled_audio), {{"ranging/detection/ncc", kChirps}})},
+  };
+
+  obs::set_enabled(true);
+  for (const auto& [mode, stages] : expected) {
+    obs::reset();
+    resloc::ranging::RangingConfig config;
+    config.detector_mode = mode;
+    ASSERT_EQ(static_cast<std::uint64_t>(config.pattern.num_chirps), kChirps);
+    const resloc::ranging::RangingService service(config);
+    resloc::ranging::RangingScratch scratch;
+    resloc::math::Rng rng(7);
+    (void)service.measure(8.0, {}, {}, rng, scratch);
+
+    const obs::TelemetrySnapshot snap = obs::snapshot();
+    EXPECT_EQ(stage_counts(snap), stages) << resloc::ranging::detector_mode_name(mode);
+    EXPECT_EQ(snap.stage_count("ranging/synthesis"), 0u);
+    EXPECT_EQ(snap.stage_count("ranging/detection"), 0u);
+  }
 }
 
 TEST_F(ObsTest, DisabledRecordsNothing) {

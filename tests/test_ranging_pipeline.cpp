@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "math/stats.hpp"
 #include "ranging/memory_model.hpp"
@@ -45,7 +47,7 @@ TEST(MemoryModel, PaperRamBudget) {
 
 TEST(MemoryModel, SoftwareDetectorIsLarger) {
   // Section 3.7: ~2 kB for 20 m at 16 kHz.
-  const std::size_t software = software_detector_buffer_bytes(20.0);
+  const std::size_t software = dft_detector_buffer_bytes(20.0);
   EXPECT_GT(software, 1500u);
   EXPECT_LT(software, 3000u);
   EXPECT_GT(software, 3 * hardware_detector_buffer_bytes(20.0));
@@ -114,11 +116,14 @@ TEST(RangingService, ShortRangeAccurate) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(1);
+  RangingScratch scratch;
   int detections = 0;
   double worst = 0.0;
   for (int i = 0; i < 30; ++i) {
-    const auto estimate =
-        service.measure(9.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
+    const auto estimate = service
+                              .measure(9.0, resloc::acoustics::SpeakerUnit{},
+                                       resloc::acoustics::MicUnit{}, rng, scratch)
+                              .distance_m;
     if (!estimate) continue;
     ++detections;
     worst = std::max(worst, std::abs(*estimate - 9.0));
@@ -131,10 +136,11 @@ TEST(RangingService, BeyondMaxRangeRarelyDetects) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(2);
+  RangingScratch scratch;
   int detections = 0;
   for (int i = 0; i < 30; ++i) {
     if (service.measure(28.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{},
-                        rng)) {
+                        rng, scratch).distance_m) {
       ++detections;
     }
   }
@@ -145,11 +151,12 @@ TEST(RangingService, GrassDetectionFallsOffWithDistance) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(3);
+  RangingScratch scratch;
   const auto rate = [&](double d) {
     int det = 0;
     for (int i = 0; i < 25; ++i) {
       if (service.measure(d, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{},
-                          rng)) {
+                          rng, scratch).distance_m) {
         ++det;
       }
     }
@@ -163,29 +170,54 @@ TEST(RangingService, StockBuzzerShorterRangeThanLoudspeaker) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(4);
+  RangingScratch scratch;
   resloc::acoustics::SpeakerUnit stock;
   stock.output_db = resloc::acoustics::kStockBuzzerDb;
   int stock_detections = 0;
   int loud_detections = 0;
   for (int i = 0; i < 25; ++i) {
-    if (service.measure(14.0, stock, resloc::acoustics::MicUnit{}, rng)) ++stock_detections;
+    if (service.measure(14.0, stock, resloc::acoustics::MicUnit{}, rng, scratch).distance_m) {
+      ++stock_detections;
+    }
     if (service.measure(14.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{},
-                        rng)) {
+                        rng, scratch).distance_m) {
       ++loud_detections;
     }
   }
   EXPECT_GT(loud_detections, stock_detections + 10);
 }
 
+TEST(RangingService, RejectsChirpCountsOutsideTheCounterCap) {
+  // 0 chirps records nothing; chirps past the 4-bit cap would be paid for but
+  // never recorded. Both fail at construction, naming the field.
+  for (const int chirps : {0, SignalAccumulator::kMaxChirps + 1}) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.pattern.num_chirps = chirps;
+    try {
+      const RangingService service(config);
+      ADD_FAILURE() << "expected std::invalid_argument for " << chirps << " chirps";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("RangingConfig.pattern.num_chirps"), std::string::npos) << what;
+    }
+  }
+  for (const int chirps : {1, SignalAccumulator::kMaxChirps}) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.pattern.num_chirps = chirps;
+    EXPECT_NO_THROW(validate_ranging_config(config)) << chirps << " chirps";
+  }
+}
+
 TEST(RangingService, DiagnosticsExposeDetectionIndex) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
   Rng rng(5);
-  const auto attempt = service.measure_with_diagnostics(
-      10.0, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
+  RangingScratch scratch;
+  const auto attempt = service.measure(10.0, resloc::acoustics::SpeakerUnit{},
+                                       resloc::acoustics::MicUnit{}, rng, scratch);
   ASSERT_TRUE(attempt.distance_m.has_value());
   EXPECT_GE(attempt.detection_index, 0);
-  EXPECT_EQ(attempt.accumulated.size(), service.window_samples());
+  EXPECT_EQ(scratch.accumulator.samples().size(), service.window_samples());
   // Detection index consistent with the returned distance.
   EXPECT_NEAR(distance_from_detection_index(attempt.detection_index, config.tdoa),
               *attempt.distance_m, 1e-9);
@@ -200,10 +232,13 @@ TEST(RangingService, CalibrationBiasShiftsEstimates) {
                              std::uint64_t seed) {
     const RangingService service(config);
     Rng rng(seed);
+    RangingScratch scratch;
     std::vector<double> errors;
     for (int i = 0; i < 60; ++i) {
-      const auto estimate = service.measure(8.0, resloc::acoustics::SpeakerUnit{},
-                                            resloc::acoustics::MicUnit{}, rng);
+      const auto estimate = service
+                                .measure(8.0, resloc::acoustics::SpeakerUnit{},
+                                         resloc::acoustics::MicUnit{}, rng, scratch)
+                                .distance_m;
       if (estimate) errors.push_back(*estimate - 8.0);
     }
     return resloc::math::mean(errors);
@@ -224,14 +259,15 @@ TEST(RangingService, BaselineProducesMoreLargeErrorsThanRefined) {
   const RangingService baseline(baseline_config);
   const RangingService refined(refined_config);
   Rng rng(7);
+  RangingScratch scratch;
   int baseline_large = 0;
   int refined_large = 0;
   for (int i = 0; i < 60; ++i) {
     const double d = 15.0;
-    const auto b =
-        baseline.measure(d, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
-    const auto r =
-        refined.measure(d, resloc::acoustics::SpeakerUnit{}, resloc::acoustics::MicUnit{}, rng);
+    const resloc::acoustics::SpeakerUnit speaker;
+    const resloc::acoustics::MicUnit mic;
+    const auto b = baseline.measure(d, speaker, mic, rng, scratch).distance_m;
+    const auto r = refined.measure(d, speaker, mic, rng, scratch).distance_m;
     if (b && std::abs(*b - d) > 1.0) ++baseline_large;
     if (r && std::abs(*r - d) > 1.0) ++refined_large;
   }

@@ -172,6 +172,16 @@ TEST(Resilience, UnknownFaultKindIsAConfigStageFailure) {
   EXPECT_NE(result.trials[0].error.find("not_a_fault"), std::string::npos);
 }
 
+TEST(Resilience, ChirpCountPastCounterCapIsAConfigStageFailure) {
+  SweepSpec spec = acoustic_fault_sweep();
+  spec.axes.chirp_counts = {16};
+  const CampaignResult result = CampaignRunner(RunnerOptions{1}).run(spec);
+  ASSERT_EQ(result.trials.size(), 1u);
+  EXPECT_FALSE(result.trials[0].ok);
+  EXPECT_EQ(result.trials[0].failure, FailureReason::kConfig);
+  EXPECT_NE(result.trials[0].error.find("RangingConfig.pattern.num_chirps"), std::string::npos);
+}
+
 TEST(Resilience, NonStdExceptionsAreIsolatedAndClassified) {
   // The catch-all tier: a scenario builder that throws a plain int must fail
   // its own trial with the dedicated classification, not the campaign.
