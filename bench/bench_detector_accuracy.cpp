@@ -81,7 +81,7 @@ ranging::RangingConfig fixture_config(ranging::DetectorMode mode, bool echo) {
   config.max_window_range_m = 22.0;
   config.tdoa.sync_jitter_s = 0.0;
   config.channel_jitter.actuation_jitter_s = 0.0;
-  config.tdoa.delta_const_true_s = config.tdoa.delta_const_calibrated_s;
+  config.tdoa.delta_const_true_s = ranging::kDeltaConstCalibratedS;
   config.detector_mode = mode;
   return config;
 }
@@ -102,7 +102,7 @@ DetectorRecord run_scene(ranging::DetectorMode mode, bool echo,
   int attempts = 0;
   ranging::RangingScratch scratch;
   for (double d : distances) {
-    const int expected = ranging::detection_index_for_distance(d, config.tdoa);
+    const int expected = ranging::detection_index_for_distance(d);
     math::Rng rng(seed);
     for (int t = 0; t < trials; ++t) {
       math::Rng stream = rng.fork(t);

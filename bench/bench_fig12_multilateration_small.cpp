@@ -31,7 +31,7 @@ int main() {
   config.max_window_range_m = 36.0;
   config.pattern.num_chirps = 5;
   config.verify_pattern = false;
-  config.tdoa.delta_const_true_s = config.tdoa.delta_const_calibrated_s + 0.0005;
+  config.tdoa.delta_const_true_s = ranging::kDeltaConstCalibratedS + 0.0005;
 
   const ranging::RangingService service(config);
   math::Rng rng(0xF16'12);

@@ -1,20 +1,15 @@
 // Goertzel fast path vs the naive direct DFT: the hot-path numbers behind the
 // acoustic sweep axis.
 //
-// Three stages of the per-pair ranging cost are timed:
+// Two stages of the per-pair ranging cost are timed:
 //   1. single-bin tone filtering: the direct-DFT reference
 //      (tests/reference/direct_dft.hpp; O(window) per sample, the
 //      cost a naive per-chirp-per-pair DFT pays) against GoertzelSlidingFilter
 //      (O(1) per sample), including a max |delta magnitude| equivalence check;
 //   2. waveform synthesis: per-sample std::sin against the cached chirp
-//      templates of WaveformSynthesizer;
-//   3. the full RangingService::measure() pair loop: fresh buffers per pair
-//      against one reused RangingScratch. On the hardware-detector path the
-//      interval model dominates and reuse is roughly cost-neutral (the JSON
-//      records the honest number); the scratch's real payoff is stage 4;
-//   4. the same pair loop in Goertzel-detector mode (Section 3.7), where a
-//      fresh scratch per pair also rebuilds the tone table and the Goertzel
-//      detector that the reused scratch caches across pairs.
+//      templates of WaveformSynthesizer.
+// The whole measure() pair cost is the campaign benchmark's
+// ranging.us_per_measure (perfbench/README.md).
 //
 // Results are printed and written as JSON (default BENCH_ranging.json, or
 // argv[1]) so CI can archive the perf trajectory.
@@ -28,9 +23,7 @@
 #include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "ranging/dft_detector.hpp"
-#include "ranging/ranging_service.hpp"
 #include "reference/direct_dft.hpp"
-#include "sim/scenarios.hpp"
 
 using namespace resloc;
 
@@ -133,66 +126,6 @@ int main(int argc, char** argv) {
   std::printf("  cached templates    %8.2f us/capture\n", synth_tpl_s * 1e6);
   std::printf("  speedup             %8.2fx\n", synth_speedup);
 
-  // --- Stage 3: full ranging sequences with and without buffer reuse ---
-  const ranging::RangingService service(sim::grass_refined_ranging());
-  constexpr int kPairs = 150;
-  const double measure_alloc_s = best_of(3, [&] {
-    math::Rng r(7);
-    double sum = 0.0;
-    for (int i = 0; i < kPairs; ++i) {
-      ranging::RangingScratch fresh;
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double measure_scratch_s = best_of(3, [&] {
-    math::Rng r(7);
-    ranging::RangingScratch scratch;
-    double sum = 0.0;
-    for (int i = 0; i < kPairs; ++i) {
-      const auto d = service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double measure_speedup = measure_alloc_s / measure_scratch_s;
-  std::printf("\nfull ranging sequence, %d pairs (grass refined service)\n", kPairs);
-  std::printf("  fresh buffers       %8.2f us/pair\n", measure_alloc_s / kPairs * 1e6);
-  std::printf("  reused scratch      %8.2f us/pair\n", measure_scratch_s / kPairs * 1e6);
-  std::printf("  speedup             %8.2fx\n", measure_speedup);
-
-  // --- Stage 4: Goertzel-detector (Section 3.7) pair loop ---
-  ranging::RangingConfig sw_config = sim::grass_refined_ranging();
-  sw_config.detector_mode = ranging::DetectorMode::kGoertzel;
-  const ranging::RangingService sw_service(sw_config);
-  constexpr int kSwPairs = 40;
-  const double sw_alloc_s = best_of(3, [&] {
-    math::Rng r(7);
-    double sum = 0.0;
-    for (int i = 0; i < kSwPairs; ++i) {
-      ranging::RangingScratch fresh;
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, fresh).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double sw_scratch_s = best_of(3, [&] {
-    math::Rng r(7);
-    ranging::RangingScratch scratch;
-    double sum = 0.0;
-    for (int i = 0; i < kSwPairs; ++i) {
-      const auto d = sw_service.measure(5.0 + (i % 12), {}, {}, r, scratch).distance_m;
-      sum += d.value_or(0.0);
-    }
-    g_sink = sum;
-  });
-  const double sw_speedup = sw_alloc_s / sw_scratch_s;
-  std::printf("\nGoertzel-detector sequence, %d pairs (Goertzel + tone-table cache)\n", kSwPairs);
-  std::printf("  fresh buffers       %8.2f us/pair\n", sw_alloc_s / kSwPairs * 1e6);
-  std::printf("  reused scratch      %8.2f us/pair\n", sw_scratch_s / kSwPairs * 1e6);
-  std::printf("  speedup             %8.2fx\n", sw_speedup);
-
   // --- JSON record ---
   const auto v = [](double x) { return resloc::eval::format_value(x); };
   std::string json = "{\n";
@@ -206,13 +139,7 @@ int main(int argc, char** argv) {
   json += "  \"max_abs_magnitude_delta\": " + v(max_delta) + ",\n";
   json += "  \"synth_sin_us_per_capture\": " + v(synth_sin_s * 1e6) + ",\n";
   json += "  \"synth_template_us_per_capture\": " + v(synth_tpl_s * 1e6) + ",\n";
-  json += "  \"synth_speedup\": " + v(synth_speedup) + ",\n";
-  json += "  \"measure_alloc_us_per_pair\": " + v(measure_alloc_s / kPairs * 1e6) + ",\n";
-  json += "  \"measure_scratch_us_per_pair\": " + v(measure_scratch_s / kPairs * 1e6) + ",\n";
-  json += "  \"measure_speedup\": " + v(measure_speedup) + ",\n";
-  json += "  \"software_alloc_us_per_pair\": " + v(sw_alloc_s / kSwPairs * 1e6) + ",\n";
-  json += "  \"software_scratch_us_per_pair\": " + v(sw_scratch_s / kSwPairs * 1e6) + ",\n";
-  json += "  \"software_speedup\": " + v(sw_speedup) + "\n";
+  json += "  \"synth_speedup\": " + v(synth_speedup) + "\n";
   json += "}\n";
   if (!resloc::eval::write_text_file(json_path, json)) {
     std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());

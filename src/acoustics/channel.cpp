@@ -27,7 +27,7 @@ LinkResponse link_response(double distance_m, const EnvironmentProfile& env) {
   link.spreading_db = 20.0 * std::log10(d / kReferenceDistanceM);
   link.excess_db = env.excess_attenuation_db_per_m * d;  // d, not distance_m:
   // received_level_db applies the excess term to the clamped distance too.
-  link.travel_s = distance_m / env.speed_of_sound_mps;
+  link.travel_s = distance_m / kSpeedOfSoundMps;
   return link;
 }
 
@@ -62,16 +62,16 @@ void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions
   for (const Emission& e : emissions) {
     // Direct path. The audible start carries the speaker's unit-specific
     // onset offset plus per-chirp power-up jitter (both relative to the
-    // calibrated mean, hence possibly negative). The first `rampup_s` of the
+    // calibrated mean, hence possibly negative). The first kRampupS of the
     // chirp plays below full level while the speaker powers up.
     const double audible_start = e.start_s + travel_s + speaker.onset_delay_s +
                                  rng.gaussian(0.0, jitter.actuation_jitter_s);
     const double audible_end = e.start_s + travel_s + e.duration_s;
-    const double ramp_end = std::min(audible_start + jitter.rampup_s, audible_end);
+    const double ramp_end = std::min(audible_start + kRampupS, audible_end);
     if (audible_end > window_start_s && audible_start < window_end && audible_end > audible_start) {
       if (ramp_end > audible_start) {
         window.signals.push_back(
-            {audible_start, ramp_end, direct_snr - jitter.rampup_penalty_db});
+            {audible_start, ramp_end, direct_snr - kRampupPenaltyDb});
       }
       if (audible_end > ramp_end) {
         window.signals.push_back({ramp_end, audible_end, direct_snr});

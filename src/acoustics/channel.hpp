@@ -48,7 +48,7 @@ struct ReceivedWindow {
   std::vector<NoiseBurst> bursts;
 };
 
-/// Tuning of the receiver-side timing jitter and speaker power-up behaviour.
+/// Tuning of the per-chirp speaker timing jitter.
 struct ChannelJitter {
   /// Standard deviation of the speaker power-up / detector pick-up delay (s),
   /// per chirp. The *mean* of this delay is part of delta_const and is
@@ -56,16 +56,16 @@ struct ChannelJitter {
   /// 0.5 ms of timing jitter is ~17 cm of distance, giving the paper's
   /// zero-mean +/-30 cm error core.
   double actuation_jitter_s = 0.0005;
-
-  /// Speaker power ramp-up: the first `rampup_s` of each chirp is emitted
-  /// `rampup_penalty_db` below full level ("it may take some time before an
-  /// analog sounder reaches its maximum output power level", Section 3.4).
-  /// At marginal SNR the ramp is missed and detection slides into the chirp
-  /// body -- the paper's over-estimation mechanism, which grows with chirp
-  /// length (Section 3.6) and caps at the chirp's own acoustic length.
-  double rampup_s = 0.003;
-  double rampup_penalty_db = 5.0;
 };
+
+/// Speaker power ramp-up: the first kRampupS of each chirp is emitted
+/// kRampupPenaltyDb below full level ("it may take some time before an
+/// analog sounder reaches its maximum output power level", Section 3.4).
+/// At marginal SNR the ramp is missed and detection slides into the chirp
+/// body -- the paper's over-estimation mechanism, which grows with chirp
+/// length (Section 3.6) and caps at the chirp's own acoustic length.
+inline constexpr double kRampupS = 0.003;
+inline constexpr double kRampupPenaltyDb = 5.0;
 
 /// The distance-dependent pieces of the channel response, computed once per
 /// (distance, environment) and reusable across every chirp window, round,
@@ -79,7 +79,7 @@ struct LinkResponse {
   double distance_m = 0.0;
   double spreading_db = 0.0;  ///< 20 * log10(max(d, 10 cm) / 10 cm)
   double excess_db = 0.0;     ///< env.excess_attenuation_db_per_m * d
-  double travel_s = 0.0;      ///< d / env.speed_of_sound_mps
+  double travel_s = 0.0;      ///< d / kSpeedOfSoundMps
 };
 
 /// Computes the reusable channel response for one link distance.

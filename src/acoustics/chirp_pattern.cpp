@@ -15,8 +15,7 @@ void chirp_start_times_into(const ChirpPattern& pattern, resloc::math::Rng& rng,
   double t = 0.0;
   for (int i = 0; i < pattern.num_chirps; ++i) {
     if (i > 0) {
-      t += pattern.chirp_duration_s + pattern.inter_chirp_gap_s +
-           rng.uniform(0.0, pattern.random_delay_max_s);
+      t += pattern.chirp_duration_s + kInterChirpGapS + rng.uniform(0.0, kRandomDelayMaxS);
     }
     starts.push_back(t);
   }

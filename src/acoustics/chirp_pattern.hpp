@@ -15,13 +15,18 @@
 
 namespace resloc::acoustics {
 
+/// Silence between consecutive chirps of a sequence.
+inline constexpr double kInterChirpGapS = 0.25;
+
+/// Upper bound of the extra uniform per-chirp delay that decorrelates echoes
+/// across accumulation windows (Section 3.5).
+inline constexpr double kRandomDelayMaxS = 0.05;
+
 /// Emission schedule parameters for one ranging sequence.
 struct ChirpPattern {
   int num_chirps = 10;
   double chirp_duration_s = 0.008;   ///< 8 ms (Section 3.6)
   double tone_frequency_hz = 4300.0; ///< within the 4.0-4.5 kHz detector band
-  double inter_chirp_gap_s = 0.25;   ///< silence between chirps
-  double random_delay_max_s = 0.05;  ///< extra per-chirp random delay, decorrelates echoes
 };
 
 /// Emission start times (seconds, relative to the sequence start) for each

@@ -20,12 +20,13 @@
 
 namespace resloc::acoustics {
 
+/// False-positive probability of the tone detector while a noise burst is
+/// active, in every terrain (the burst *rate* is what varies by site).
+inline constexpr double kNoiseBurstFalsePositiveRate = 0.35;
+
 /// Static acoustic description of a deployment site.
 struct EnvironmentProfile {
   std::string name;
-
-  /// Speed of sound used both by physics and by the ranging arithmetic.
-  double speed_of_sound_mps = 340.0;
 
   /// Attenuation in dB per meter in excess of spherical spreading
   /// (absorption by grass, foliage, ground effect).
@@ -70,9 +71,6 @@ struct EnvironmentProfile {
 
   /// Duration of a noise burst, in seconds.
   double noise_burst_duration_s = 0.05;
-
-  /// False-positive probability while a noise burst is active.
-  double noise_burst_false_positive_rate = 0.35;
 
   /// Flat grassy field, 10-15 cm grass (the paper's main 46-node experiment
   /// site, near an airport: occasional loud engine noise).

@@ -50,7 +50,7 @@ void ToneDetectorModel::fire_thresholds_block(const ReceivedWindow& window,
   // folded in before thresholding (threshold-of-max == max-of-thresholds,
   // the conversion is monotone).
   double base_rate = env_.false_positive_rate;
-  double burst_rate = env_.noise_burst_false_positive_rate;
+  double burst_rate = kNoiseBurstFalsePositiveRate;
   if (mic.faulty) {
     base_rate = std::max(base_rate, kFaultyMicFalsePositiveRate);
     burst_rate = std::max(burst_rate, kFaultyMicFalsePositiveRate);

@@ -51,8 +51,8 @@ SampleSpan interval_sample_span(double window_start_s, double sample_period_s,
 class ToneDetectorModel {
  public:
   /// `sample_rate_hz` is the rate at which the microcontroller polls the
-  /// detector (16 kHz in the paper's experiments).
-  ToneDetectorModel(EnvironmentProfile env, double sample_rate_hz = 16000.0);
+  /// detector.
+  ToneDetectorModel(EnvironmentProfile env, double sample_rate_hz = kSampleRateHz);
 
   /// The deterministic half of the detector: writes the per-sample 53-bit
   /// Bernoulli thresholds (see math::Rng::bernoulli_threshold) into

@@ -21,6 +21,15 @@ inline constexpr double kStockBuzzerDb = 88.0;
 /// Nominal output level of the $5 piezo loudspeaker extension (Section 3.2).
 inline constexpr double kLoudspeakerDb = 105.0;
 
+/// Speed of sound (Vs of Section 3.1). The channel's travel time and the
+/// ranging decoder's index-to-distance conversion both read this one value,
+/// so the physics and the arithmetic cannot disagree.
+inline constexpr double kSpeedOfSoundMps = 340.0;
+
+/// Rate at which the microcontroller polls the tone detector (16 kHz in the
+/// paper's experiments, ~2.1 cm of distance per sample at kSpeedOfSoundMps).
+inline constexpr double kSampleRateHz = 16000.0;
+
 /// One physical speaker: nominal level plus its unit-specific deviation.
 struct SpeakerUnit {
   double output_db = kLoudspeakerDb;

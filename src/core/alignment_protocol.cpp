@@ -97,7 +97,7 @@ class AlignmentApp : public resloc::net::NodeApp {
     if (!own_map_.coord_of(sender).has_value() && sender != own_map_.owner) return;
 
     const std::vector<NodeId> shared = sender_map.shared_members(own_map_);
-    if (shared.size() < options_.min_shared_members) return;
+    if (shared.size() < kMinSharedMembers) return;
 
     std::vector<Vec2> source;  // sender frame
     std::vector<Vec2> target;  // own frame

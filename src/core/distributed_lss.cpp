@@ -53,7 +53,7 @@ DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
 
       // Shared members with coordinates in both local frames.
       const std::vector<NodeId> shared = child_map.shared_members(parent_map);
-      if (shared.size() < options.min_shared_members) continue;
+      if (shared.size() < kMinSharedMembers) continue;
 
       std::vector<Vec2> source;  // child frame
       std::vector<Vec2> target;  // parent frame

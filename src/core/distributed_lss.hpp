@@ -18,6 +18,10 @@
 
 namespace resloc::core {
 
+/// Minimum shared members required to align two local maps; below 3 the
+/// reflection/rotation is under-determined and alignment is refused.
+inline constexpr std::size_t kMinSharedMembers = 3;
+
 /// Distributed-LSS configuration.
 struct DistributedLssOptions {
   /// LSS settings for the per-node local maps (the soft constraint applies
@@ -26,11 +30,6 @@ struct DistributedLssOptions {
 
   /// Transform estimation method (Section 4.3.1 offers both).
   TransformMethod method = TransformMethod::kClosedForm;
-
-  /// Minimum shared members required to align two local maps (default 3);
-  /// below 3 the reflection/rotation is under-determined and alignment is
-  /// refused.
-  std::size_t min_shared_members = 3;
 
   /// Reject a pairwise transform whose per-shared-member RMS residual
   /// exceeds this (meters); large residuals signal a folded local map whose

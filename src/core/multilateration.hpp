@@ -18,6 +18,15 @@
 
 namespace resloc::core {
 
+/// Usable anchors a degraded fix needs (see allow_degraded).
+inline constexpr std::size_t kDegradedMinAnchors = 2;
+
+/// Weight of a progressively promoted anchor (true anchors weigh 1).
+inline constexpr double kProgressiveWeight = 0.5;
+
+/// Round cap of progressive localization.
+inline constexpr int kMaxProgressiveRounds = 10;
+
 /// Multilateration configuration.
 struct MultilaterationOptions {
   /// Minimum anchors with measurements before a node is localized at all
@@ -26,31 +35,20 @@ struct MultilaterationOptions {
 
   /// Run the intersection consistency check before minimizing.
   bool use_intersection_check = false;
-  IntersectionCheckOptions intersection;
-
-  /// Estimate the position as the dominant intersection cluster's centroid
-  /// ("we may take the mode of the intersection points ... instead of
-  /// minimizing the error if the number of anchors is large enough") when at
-  /// least `mode_min_anchors` (default 5) consistent anchors are available.
-  bool use_intersection_mode_estimate = false;
-  std::size_t mode_min_anchors = 5;
 
   /// Degrade instead of giving up: a node with fewer than `min_anchors` but
-  /// at least `degraded_min_anchors` usable anchors still receives a fix,
+  /// at least kDegradedMinAnchors usable anchors still receives a fix,
   /// flagged LocalizationStatus::kDegraded in the result (the solve is
   /// under-constrained -- with two anchors the position is one of two mirror
   /// points). Degraded fixes never join the progressive anchor pool. Off by
   /// default so the paper-faithful behavior (and its goldens) are untouched.
   bool allow_degraded = false;
-  std::size_t degraded_min_anchors = 2;
 
   /// Progressive localization: localized non-anchors become anchors for
-  /// later rounds, with weight scaled by `progressive_weight` (default 0.5).
+  /// later rounds (up to kMaxProgressiveRounds), weighted kProgressiveWeight.
   /// The paper's reported experiments use a single round with constant
-  /// weight 1, so both toggles default off.
+  /// weight 1, so this defaults off.
   bool progressive = false;
-  double progressive_weight = 0.5;
-  int max_progressive_rounds = 10;
 
   /// Gradient-descent tuning for the position fit.
   resloc::math::GradientDescentOptions gd{.step_size = 0.05,

@@ -92,7 +92,7 @@ double FaultInjector::corrupt_distance(int round, core::NodeId source,
   }
   // Multiplicative outlier, always an overestimate: the physical signature
   // of latching an echo instead of the first arrival.
-  return measured_m * stream.uniform(2.0, std::max(2.0, 1.0 + plan_.outlier_scale));
+  return measured_m * stream.uniform(2.0, 1.0 + kOutlierScale);
 }
 
 }  // namespace resloc::fault

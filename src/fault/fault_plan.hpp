@@ -32,6 +32,10 @@
 
 namespace resloc::fault {
 
+/// Outlier corruption multiplies the estimate by uniform(2, 1 + this): always
+/// an overestimate, up to 5x.
+inline constexpr double kOutlierScale = 4.0;
+
 /// Per-campaign fault configuration. All rates default to 0 (no faults).
 struct FaultPlan {
   // --- Network faults (consumed via apply_to_radio / net::Network). ---
@@ -67,10 +71,8 @@ struct FaultPlan {
   /// filters.
   double corrupt_distance_rate = 0.0;
   /// Of the corruptions, the fraction replaced by NaN; the rest become
-  /// multiplicative outliers.
+  /// multiplicative outliers (see kOutlierScale).
   double corrupt_nan_fraction = 0.5;
-  /// Outlier corruption multiplies the estimate by uniform(2, 1 + this).
-  double outlier_scale = 4.0;
 
   /// True when any fault can fire. The inert default plan keeps every
   /// existing byte-stream untouched (the injector draws nothing).

@@ -23,7 +23,15 @@
 #include <cstddef>
 #include <vector>
 
+#include "acoustics/units.hpp"
+
 namespace resloc::ranging {
+
+/// Multiplier on the Parseval noise estimate before subtraction. For white
+/// noise the expected band power roughly equals the window energy, but
+/// adjacent sliding-window outputs are strongly correlated, so a margin of
+/// ~6x is needed to keep noise excursions from forming detection-length runs.
+inline constexpr double kSoftwareNoiseScale = 6.0;
 
 /// Band powers produced by one filter step, matching Figure 9's return value
 /// [(re4^2 + im4^2), (re6^2 + 3*im6^2)/2].
@@ -116,9 +124,9 @@ class GoertzelSlidingFilter {
 class GoertzelToneDetector {
  public:
   explicit GoertzelToneDetector(double tone_frequency_hz = 4000.0,
-                                double sample_rate_hz = 16000.0,
+                                double sample_rate_hz = acoustics::kSampleRateHz,
                                 std::size_t window = SlidingDftFilter::kWindow,
-                                double noise_scale = 6.0);
+                                double noise_scale = kSoftwareNoiseScale);
 
   /// Feeds one sample; returns the noise-subtracted detection metric
   /// (positive indicates a tone).
@@ -143,11 +151,8 @@ class DftToneDetector {
  public:
   /// `band` selects which Figure 9 band carries the beacon: 4 for fs/4,
   /// 6 for fs/6. `noise_scale` multiplies the Parseval noise estimate before
-  /// subtraction; higher values demand more dominant tones. For white noise
-  /// the expected band power roughly equals the window energy, but adjacent
-  /// sliding-window outputs are strongly correlated, so a margin of ~6x is
-  /// needed to keep noise excursions from forming detection-length runs.
-  DftToneDetector(int band = 4, double noise_scale = 6.0);
+  /// subtraction; higher values demand more dominant tones.
+  DftToneDetector(int band = 4, double noise_scale = kSoftwareNoiseScale);
 
   /// Feeds one sample; returns the noise-subtracted detection metric
   /// (positive indicates a tone).

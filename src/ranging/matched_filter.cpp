@@ -5,16 +5,13 @@
 
 namespace resloc::ranging {
 
-MatchedFilterNcc::MatchedFilterNcc(double threshold, int peak_plateau)
-    : threshold_(threshold), peak_plateau_(std::max(1, peak_plateau)) {}
-
 void MatchedFilterNcc::detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
                                    const acoustics::ToneTemplateView& tpl,
                                    std::uint8_t* marks) {
   std::fill(marks, marks + n, std::uint8_t{0});
   if (!scan(x, n, chirp_samples, tpl)) return;
   for (std::size_t i : peaks_) {
-    const std::size_t end = std::min(n, i + static_cast<std::size_t>(peak_plateau_));
+    const std::size_t end = std::min(n, i + static_cast<std::size_t>(kPeakPlateau));
     std::fill(marks + i, marks + end, std::uint8_t{1});
   }
 }
@@ -69,7 +66,7 @@ bool MatchedFilterNcc::scan(const double* x, std::size_t n, std::size_t chirp_sa
   // neighborhood check runs on a handful of candidates, not on every offset.
   const std::size_t radius = L / 2;
   for (std::size_t i = 0; i < m; ++i) {
-    if (ncc_[i] < threshold_) continue;
+    if (ncc_[i] < kThreshold) continue;
     if (i > 0 && ncc_[i] <= ncc_[i - 1]) continue;            // leftmost of any plateau
     if (i + 1 < m && ncc_[i] < ncc_[i + 1]) continue;         // not a local max
     const std::size_t lo = i > radius ? i - radius : 0;

@@ -50,19 +50,16 @@ class MatchedFilterNcc {
   /// SNR of about -6 dB already provides -- comfortably below the software
   /// tone detector's operating point, which is the margin that lets NCC
   /// recover direct arrivals whose echoes alone trip the Goertzel path.
-  static constexpr double kDefaultThreshold = 0.45;
+  static constexpr double kThreshold = 0.45;
 
   /// Samples marked per picked peak. Must be >= the detect-signal
   /// min_detections in use (the campaign default k = 6) so a plateau alone
   /// satisfies the window-density test after accumulation.
-  static constexpr int kDefaultPeakPlateau = 8;
-
-  explicit MatchedFilterNcc(double threshold = kDefaultThreshold,
-                            int peak_plateau = kDefaultPeakPlateau);
+  static constexpr int kPeakPlateau = 8;
 
   /// Scans `x[0, n)` for chirp onsets by NCC against `tpl` (template length
   /// `chirp_samples`; `tpl` must cover at least n samples) and sets a
-  /// `peak_plateau`-sample run of 1s in the contiguous 0/1 buffer `marks`
+  /// kPeakPlateau-sample run of 1s in the contiguous 0/1 buffer `marks`
   /// (the block-DSP `fired` lane, length n, caller-allocated) at every picked
   /// onset; every other entry is zeroed.
   void detect_into(const double* x, std::size_t n, std::size_t chirp_samples,
@@ -76,17 +73,12 @@ class MatchedFilterNcc {
   /// rasterization), in ascending order.
   const std::vector<std::size_t>& peaks() const { return peaks_; }
 
-  double threshold() const { return threshold_; }
-  int peak_plateau() const { return peak_plateau_; }
-
  private:
   /// Fills ncc_ and peaks_ for one window; returns false when the window is
   /// shorter than the template (no scan possible).
   bool scan(const double* x, std::size_t n, std::size_t chirp_samples,
             const acoustics::ToneTemplateView& tpl);
 
-  double threshold_;
-  int peak_plateau_;
   std::vector<std::size_t> peaks_;
   // Prefix sums over the window: sum x*sin, sum x*cos, sum x^2 (size n + 1).
   std::vector<double> prefix_sin_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "math/constants.hpp"
@@ -55,13 +56,50 @@ std::string detector_mode_name(DetectorMode mode) {
   return "unknown";
 }
 
+namespace {
+
+[[noreturn]] void reject(const char* field, const std::string& value, const std::string& why) {
+  throw std::invalid_argument(std::string("RangingConfig.") + field + " = " + value + " " + why);
+}
+
+void require_positive_finite(double value, const char* field) {
+  if (!std::isfinite(value) || value <= 0.0) {
+    reject(field, std::to_string(value), "must be finite and > 0; it sizes the sample window");
+  }
+}
+
+// Validation runs before any member initializer reads the config: the window
+// size is a float-to-integer cast that is undefined for a NaN or negative
+// range or chirp duration.
+RangingConfig validated(RangingConfig config) {
+  validate_ranging_config(config);
+  return config;
+}
+
+}  // namespace
+
 void validate_ranging_config(const RangingConfig& config) {
+  const std::string cap = std::to_string(SignalAccumulator::kMaxChirps);
   const int chirps = config.pattern.num_chirps;
   if (chirps < 1 || chirps > SignalAccumulator::kMaxChirps) {
-    throw std::invalid_argument(
-        "RangingConfig.pattern.num_chirps = " + std::to_string(chirps) +
-        " is outside [1, " + std::to_string(SignalAccumulator::kMaxChirps) +
-        "], the 4-bit counter cap; chirps past the cap would be paid for but never recorded");
+    reject("pattern.num_chirps", std::to_string(chirps),
+           "is outside [1, " + cap +
+               "], the 4-bit counter cap; chirps past the cap would be paid for but never "
+               "recorded");
+  }
+  require_positive_finite(config.max_window_range_m, "max_window_range_m");
+  require_positive_finite(config.pattern.chirp_duration_s, "pattern.chirp_duration_s");
+  const DetectionParams& detection = config.detection;
+  if (detection.threshold < 1 || detection.threshold > SignalAccumulator::kMaxChirps) {
+    reject("detection.threshold", std::to_string(detection.threshold),
+           "is outside [1, " + cap + "]; no 4-bit counter can reach it");
+  }
+  if (detection.window < 1) {
+    reject("detection.window", std::to_string(detection.window), "must be >= 1");
+  }
+  if (detection.min_detections < 1 || detection.min_detections > detection.window) {
+    reject("detection.min_detections", std::to_string(detection.min_detections),
+           "is outside [1, detection.window = " + std::to_string(detection.window) + "]");
   }
   switch (config.detector_mode) {
     case DetectorMode::kHardware:
@@ -69,19 +107,15 @@ void validate_ranging_config(const RangingConfig& config) {
     case DetectorMode::kMatchedFilter:
       return;
   }
-  throw std::invalid_argument(
-      "RangingConfig.detector_mode holds unknown DetectorMode value " +
-      std::to_string(static_cast<int>(config.detector_mode)) +
-      " (known: hardware, goertzel, ncc)");
+  reject("detector_mode", std::to_string(static_cast<int>(config.detector_mode)),
+         "is not a known DetectorMode (known: hardware, goertzel, ncc)");
 }
 
 RangingService::RangingService(RangingConfig config)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       window_samples_(window_samples_for_range(config_.max_window_range_m,
-                                               config_.pattern.chirp_duration_s, config_.tdoa)),
-      detector_(config_.environment, config_.tdoa.sample_rate_hz) {
-  validate_ranging_config(config_);
-}
+                                               config_.pattern.chirp_duration_s)),
+      detector_(config_.environment) {}
 
 RangingAttempt RangingService::measure(double true_distance_m,
                                        const acoustics::SpeakerUnit& speaker,
@@ -109,9 +143,8 @@ RangingAttempt RangingService::measure(double true_distance_m,
   }
 
   const double window_duration_s =
-      static_cast<double>(window_samples_) / config_.tdoa.sample_rate_hz;
-  const double calibration_bias_s =
-      config_.tdoa.delta_const_true_s - config_.tdoa.delta_const_calibrated_s;
+      static_cast<double>(window_samples_) / acoustics::kSampleRateHz;
+  const double calibration_bias_s = config_.tdoa.delta_const_true_s - kDeltaConstCalibratedS;
 
   // The distance-dependent channel response: supplied by the campaign's
   // per-trial cache, or computed here once per measure (the per-chirp
@@ -180,8 +213,8 @@ RangingAttempt RangingService::measure(double true_distance_m,
     index = scanner.next();
     if (!config_.baseline && config_.verify_pattern) {
       while (index >= 0 &&
-             !verify_preceding_silence(samples, index, config_.silence_gap_samples,
-                                       detection.threshold, config_.silence_max_noisy)) {
+             !verify_preceding_silence(samples, index, kSilenceGapSamples,
+                                       detection.threshold, kSilenceMaxNoisy)) {
         ++attempt.rejected_detections;
         index = scanner.next();
       }
@@ -190,7 +223,7 @@ RangingAttempt RangingService::measure(double true_distance_m,
 
   if (index >= 0) {
     attempt.detection_index = index;
-    attempt.distance_m = distance_from_detection_index(index, config_.tdoa);
+    attempt.distance_m = distance_from_detection_index(index);
     obs::add(obs::Counter::kMeasureDetections);
   }
   return attempt;
@@ -198,39 +231,25 @@ RangingAttempt RangingService::measure(double true_distance_m,
 
 void RangingService::prepare_goertzel(RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
-  const double fs = config_.tdoa.sample_rate_hz;
 
   // Tone table sin(2*pi*f*i/fs) and the Goertzel detector, cached in the
-  // scratch under the (frequency, sample rate, noise scale) they were built
-  // for; rebuilt only if the scratch migrates to a differently-tuned service.
-  // The table's absolute phase is irrelevant to the single-bin power.
+  // scratch under the frequency they were built for; rebuilt only if the
+  // scratch migrates to a service with another chirp tone. The table's
+  // absolute phase is irrelevant to the single-bin power.
   const double frequency_hz = config_.pattern.tone_frequency_hz;
-  const bool retuned =
-      scratch.tone_frequency_hz != frequency_hz || scratch.sample_rate_hz != fs;
+  const bool retuned = scratch.tone_frequency_hz != frequency_hz;
   if (retuned || scratch.tone_table.size() != n) {
     scratch.tone_table.resize(n);
-    const double step = 2.0 * resloc::math::kPi * frequency_hz / fs;
+    const double step = 2.0 * resloc::math::kPi * frequency_hz / acoustics::kSampleRateHz;
     for (std::size_t i = 0; i < n; ++i) {
       scratch.tone_table[i] = std::sin(step * static_cast<double>(i));
     }
   }
-  if (retuned || !scratch.goertzel || scratch.noise_scale != config_.software_noise_scale) {
-    scratch.goertzel.emplace(frequency_hz, fs, SlidingDftFilter::kWindow,
-                             config_.software_noise_scale);
+  if (retuned || !scratch.goertzel) {
+    scratch.goertzel.emplace(frequency_hz);
     scratch.tone_frequency_hz = frequency_hz;
-    scratch.sample_rate_hz = fs;
-    scratch.noise_scale = config_.software_noise_scale;
   } else {
     scratch.goertzel->reset();
-  }
-}
-
-void RangingService::prepare_ncc(RangingScratch& scratch) const {
-  // The scanner is cached under its tuning like the Goertzel detector above;
-  // its prefix-sum buffers are reused across pairs.
-  if (!scratch.ncc || scratch.ncc->threshold() != config_.ncc_threshold ||
-      scratch.ncc->peak_plateau() != config_.ncc_peak_plateau) {
-    scratch.ncc.emplace(config_.ncc_threshold, config_.ncc_peak_plateau);
   }
 }
 
@@ -276,7 +295,7 @@ void RangingService::goertzel_window(const acoustics::MicUnit& mic, resloc::math
 void RangingService::ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                                 RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
-  const double fs = config_.tdoa.sample_rate_hz;
+  const double fs = acoustics::kSampleRateHz;
   const double frequency_hz = config_.pattern.tone_frequency_hz;
 
   {
@@ -300,7 +319,8 @@ void RangingService::ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng
                                     kBurstNoiseSigma, scratch.audio.data(), n);
   }
 
-  prepare_ncc(scratch);
+  // The scanner's prefix-sum buffers are reused across pairs.
+  if (!scratch.ncc) scratch.ncc.emplace();
   const auto chirp_samples =
       static_cast<std::size_t>(std::llround(config_.pattern.chirp_duration_s * fs));
   {
@@ -316,7 +336,7 @@ void RangingService::rasterize_window_envelope(const acoustics::MicUnit& mic,
   // bursts into a noise-floor flag) via the same exact contiguous spans the
   // hardware model uses, so all paths share one interval->sample convention.
   const std::size_t n = window_samples_;
-  const double dt = 1.0 / config_.tdoa.sample_rate_hz;
+  const double dt = 1.0 / acoustics::kSampleRateHz;
   const acoustics::ReceivedWindow& window = scratch.received;
   scratch.amplitude.assign(n, mic.faulty ? kFaultyMicLeakAmplitude : 0.0);
   for (const acoustics::SignalInterval& s : window.signals) {

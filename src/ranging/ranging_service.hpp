@@ -12,7 +12,7 @@
 //     silence pattern check rejects echo tails.
 //
 // Timing errors injected per chirp: calibration bias (delta_const_true -
-// delta_const_calibrated), clock-sync jitter after MAC timestamping, speaker
+// kDeltaConstCalibratedS), clock-sync jitter after MAC timestamping, speaker
 // actuation jitter, and the 16 kHz sampling quantization.
 #pragma once
 
@@ -63,6 +63,13 @@ DetectorMode detector_mode_by_name(const std::string& name);
 /// Canonical axis/report name of a detector mode.
 std::string detector_mode_name(DetectorMode mode);
 
+/// Preceding-silence pattern check (Section 3.5): a candidate onset is
+/// rejected when more than kSilenceMaxNoisy of the kSilenceGapSamples (3 ms
+/// at acoustics::kSampleRateHz) samples before it meet the detection
+/// threshold.
+inline constexpr int kSilenceGapSamples = 48;
+inline constexpr int kSilenceMaxNoisy = 2;
+
 /// Full configuration of the ranging service.
 struct RangingConfig {
   acoustics::EnvironmentProfile environment = acoustics::EnvironmentProfile::grass();
@@ -79,28 +86,15 @@ struct RangingConfig {
   /// (default off = refined mode).
   bool baseline = false;
 
-  /// Preceding-silence pattern verification (refined mode only; default on).
-  /// A candidate onset is rejected when more than `silence_max_noisy`
-  /// (default 2) of the `silence_gap_samples` (default 48, i.e. 3 ms at
-  /// 16 kHz) samples before it meet the detection threshold.
+  /// Preceding-silence pattern verification with kSilenceGapSamples /
+  /// kSilenceMaxNoisy (refined mode only; default on).
   bool verify_pattern = true;
-  int silence_gap_samples = 48;
-  int silence_max_noisy = 2;
-
-  /// Noise-subtraction margin of the Goertzel detector (see DftToneDetector).
-  double software_noise_scale = 6.0;
 
   /// Detector front end (see DetectorMode). kHardware by default; kGoertzel
   /// is the Section 3.7 software tone detector (XSM-class platforms without a
   /// hardware detector sample the microphone and isolate the beacon band in
   /// software).
   DetectorMode detector_mode = DetectorMode::kHardware;
-
-  /// NCC detection threshold (kMatchedFilter only; see MatchedFilterNcc).
-  double ncc_threshold = MatchedFilterNcc::kDefaultThreshold;
-  /// Samples marked per picked NCC peak; must be >= detection.min_detections
-  /// for a lone plateau to satisfy the window-density test.
-  int ncc_peak_plateau = MatchedFilterNcc::kDefaultPeakPlateau;
 };
 
 /// Diagnostic output of one measurement attempt.
@@ -111,11 +105,18 @@ struct RangingAttempt {
 };
 
 /// Rejects a configuration no RangingService can run faithfully, throwing
-/// std::invalid_argument that names the field: `pattern.num_chirps` outside
-/// [1, SignalAccumulator::kMaxChirps] (chirps past the 4-bit counter cap would
-/// be paid for but never recorded), or a `detector_mode` that is not a known
-/// DetectorMode (an out-of-range enum from a miswired cast or config merge
-/// must not silently fall back to the hardware front end).
+/// std::invalid_argument that names the field:
+///   - `pattern.num_chirps` outside [1, SignalAccumulator::kMaxChirps]
+///     (chirps past the 4-bit counter cap would be paid for but never
+///     recorded);
+///   - a non-finite or non-positive `max_window_range_m` or
+///     `pattern.chirp_duration_s` (they size the sample window);
+///   - `detection.threshold` outside [1, SignalAccumulator::kMaxChirps] (no
+///     4-bit counter can reach it), `detection.window` < 1, or
+///     `detection.min_detections` outside [1, detection.window];
+///   - a `detector_mode` that is not a known DetectorMode (an out-of-range
+///     enum from a miswired cast or config merge must not silently fall back
+///     to the hardware front end).
 void validate_ranging_config(const RangingConfig& config);
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
@@ -133,21 +134,18 @@ struct RangingScratch {
   SignalAccumulator accumulator{0};
   /// Sampled-audio modes: per-sample tone amplitudes. Goertzel mode: the
   /// cached tone table sin(2*pi*f*i/fs) and the Goertzel detector itself.
-  /// The table and detector are keyed by the (frequency, sample rate, noise
-  /// scale) they were built for, so a scratch migrating between
-  /// differently-tuned services rebuilds them instead of silently filtering
-  /// the wrong band; within one service they are built once and reused
-  /// across every pair.
+  /// The table and detector are keyed by the tone frequency they were built
+  /// for, so a scratch migrating between services with different chirp tones
+  /// rebuilds them instead of silently filtering the wrong band; within one
+  /// service they are built once and reused across every pair.
   std::vector<double> amplitude;
   std::vector<double> tone_table;
   double tone_frequency_hz = 0.0;
-  double sample_rate_hz = 0.0;
-  double noise_scale = 0.0;
   std::optional<GoertzelToneDetector> goertzel;
   /// The synthesized window audio, and in matched-filter mode the NCC scanner
-  /// (keyed by its threshold/plateau like the Goertzel cache above), and the
-  /// template source. The synthesizer is the same engine the synthesis path
-  /// uses, so detection correlates against literally the cached chirp tables.
+  /// and the template source. The synthesizer is the same engine the
+  /// synthesis path uses, so detection correlates against literally the
+  /// cached chirp tables.
   std::vector<double> audio;
   std::optional<MatchedFilterNcc> ncc;
   acoustics::WaveformSynthesizer synth;
@@ -200,9 +198,6 @@ class RangingService {
   /// Builds or retunes the scratch's cached tone table + Goertzel detector
   /// for this service and resets the detector for a fresh window.
   void prepare_goertzel(RangingScratch& scratch) const;
-
-  /// Builds or retunes the scratch's cached NCC scanner for this service.
-  void prepare_ncc(RangingScratch& scratch) const;
 
   /// Shared by both sampled-audio paths: rasterizes the window's signal
   /// intervals into scratch.amplitude and its noise bursts into

@@ -15,18 +15,18 @@
 
 namespace resloc::ranging {
 
-/// Timing parameters of the ranging exchange.
+/// The receiver's calibrated estimate of delta_const.
+inline constexpr double kDeltaConstCalibratedS = 0.030;
+
+/// Timing parameters of the ranging exchange. Vs and fs are
+/// acoustics::kSpeedOfSoundMps and acoustics::kSampleRateHz.
 struct TdoaParams {
-  double speed_of_sound_mps = 340.0;
-  /// Sampling rate of the tone detector polling loop.
-  double sample_rate_hz = 16000.0;
   /// True constant delay between radio message and audible chirp onset
-  /// (scheduled chirp lag + mean sensing/actuation delay).
-  double delta_const_true_s = 0.030;
-  /// The receiver's calibrated estimate of delta_const. A miscalibration of
-  /// ~0.3-0.6 ms reproduces the paper's "constant offset of 10-20 cm ... added
-  /// to every ranging measurement" without environment calibration.
-  double delta_const_calibrated_s = 0.030;
+  /// (scheduled chirp lag + mean sensing/actuation delay). Setting it
+  /// ~0.3-0.6 ms off kDeltaConstCalibratedS reproduces the paper's "constant
+  /// offset of 10-20 cm ... added to every ranging measurement" without
+  /// environment calibration.
+  double delta_const_true_s = kDeltaConstCalibratedS;
   /// Std-dev of the residual clock-sync error after MAC timestamping.
   double sync_jitter_s = 5e-6;
 };
@@ -34,19 +34,18 @@ struct TdoaParams {
 /// Converts a detection sample index (relative to the radio-synchronized
 /// window start, which the receiver places at its calibrated estimate of the
 /// distance-zero chirp onset) into a distance estimate: d = Vs * index / fs.
-/// Calibration bias (delta_const_true - delta_const_calibrated) and sync
+/// Calibration bias (delta_const_true - kDeltaConstCalibratedS) and sync
 /// jitter shift where the signal lands within the window; they are injected
 /// by the channel simulation, not the decoder.
-double distance_from_detection_index(int index, const TdoaParams& params);
+double distance_from_detection_index(int index);
 
 /// Inverse of distance_from_detection_index: the sample index at which the
 /// direct signal from `distance_m` away begins (floor; the detector can only
 /// fire at whole sample ticks).
-int detection_index_for_distance(double distance_m, const TdoaParams& params);
+int detection_index_for_distance(double distance_m);
 
 /// Number of window samples needed to observe distances up to `max_range_m`
 /// plus a full chirp of `chirp_duration_s`.
-std::size_t window_samples_for_range(double max_range_m, double chirp_duration_s,
-                                     const TdoaParams& params);
+std::size_t window_samples_for_range(double max_range_m, double chirp_duration_s);
 
 }  // namespace resloc::ranging

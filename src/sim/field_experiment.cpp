@@ -34,12 +34,12 @@ constexpr std::uint64_t kFaultStreamTag = 0xFA17;
 /// The link's symmetric shadowing draw, recomputed on demand from its own
 /// substream: same value in both directions and every round, O(1) memory.
 double link_shadowing_db(const resloc::math::Rng& shadow_base, NodeId a, NodeId b,
-                         std::size_t n, double stddev_db) {
+                         std::size_t n) {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
   resloc::math::Rng stream =
       shadow_base.fork(static_cast<std::uint64_t>(lo) * n + hi);
-  return stream.gaussian(0.0, stddev_db);
+  return stream.gaussian(0.0, kLinkShadowingStddevDb);
 }
 
 /// One successful estimate, staged per (round, source) turn so threaded and
@@ -93,7 +93,7 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
   speakers.reserve(n);
   mics.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    speakers.push_back(config.units.sample_speaker(config.nominal_speaker_db, rng));
+    speakers.push_back(config.units.sample_speaker(resloc::acoustics::kLoudspeakerDb, rng));
     mics.push_back(config.units.sample_mic(rng));
   }
 
@@ -163,8 +163,7 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
       }
       // Shadowing is applied as a reduction of the effective source level.
       resloc::acoustics::SpeakerUnit speaker = speakers[source];
-      speaker.output_db += link_shadowing_db(shadow_base, source, receiver, n,
-                                             config.link_shadowing_stddev_db);
+      speaker.output_db += link_shadowing_db(shadow_base, source, receiver, n);
       // The distance-dependent channel response comes from the per-worker
       // cache: every round revisits the same link distances, so the log10
       // spreading term is paid once per distinct distance per trial. The
@@ -229,7 +228,7 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
   for (const auto& turn : turns) estimate_count += turn.size();
   data.samples.reserve(estimate_count);
   const double samples_per_meter =
-      config.ranging.tdoa.sample_rate_hz / config.ranging.tdoa.speed_of_sound_mps;
+      resloc::acoustics::kSampleRateHz / resloc::acoustics::kSpeedOfSoundMps;
   for (std::size_t turn = 0; turn < num_turns; ++turn) {
     const auto source = static_cast<NodeId>(turn % n);
     for (const TurnEstimate& e : turns[turn]) {

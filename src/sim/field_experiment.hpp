@@ -34,11 +34,21 @@
 
 namespace resloc::sim {
 
-/// Campaign configuration.
+/// Per-link shadowing: each unordered pair draws a constant excess
+/// attenuation from N(0, kLinkShadowingStddevDb) dB once per campaign,
+/// applied symmetrically in both directions. Models the paper's
+/// geographically varying conditions ("taller than average grass absorbing
+/// the signal more", bushes, ground undulation) that silence mid-range links
+/// and make real field data much sparser than line-of-sight physics
+/// predicts. Drawn on demand from the pair's own substream -- O(1) memory,
+/// identical value every time the link is used.
+inline constexpr double kLinkShadowingStddevDb = 5.0;
+
+/// Campaign configuration. Every node's speaker is drawn around
+/// acoustics::kLoudspeakerDb.
 struct FieldExperimentConfig {
   resloc::ranging::RangingConfig ranging;
   resloc::acoustics::UnitVariationModel units;
-  double nominal_speaker_db = resloc::acoustics::kLoudspeakerDb;
   /// Measurement rounds; each round, every node emits one chirp sequence.
   int rounds = 3;
   /// Statistical filter applied per directed pair before symmetrization.
@@ -48,16 +58,6 @@ struct FieldExperimentConfig {
   /// Pairs farther apart than this are not simulated at all (outside any
   /// plausible acoustic or radio range; keeps the campaign tractable).
   double simulate_within_m = 45.0;
-
-  /// Per-link shadowing: each unordered pair draws a constant excess
-  /// attenuation from N(0, this) dB once per campaign, applied symmetrically
-  /// in both directions. Models the paper's geographically varying
-  /// conditions ("taller than average grass absorbing the signal more",
-  /// bushes, ground undulation) that silence mid-range links and make real
-  /// field data much sparser than line-of-sight physics predicts. Drawn
-  /// on demand from the pair's own substream -- O(1) memory, identical
-  /// value every time the link is used.
-  double link_shadowing_stddev_db = 5.0;
 
   /// Worker threads for the measurement loop; <= 1 runs sequentially. Each
   /// (round, source) turn is an independent task on its own RNG substream
@@ -82,8 +82,8 @@ struct RangingSample {
   double true_distance_m = 0.0;
   double measured_m = 0.0;
   /// Detection-offset diagnostic: (measured - true) converted to detector
-  /// samples via fs / v_sound (~2.1 cm per sample at the paper's 16 kHz /
-  /// 340 m/s). This is the detector-accuracy currency of the bench and the
+  /// samples via acoustics::kSampleRateHz / acoustics::kSpeedOfSoundMps
+  /// (~2.1 cm per sample). This is the detector-accuracy currency of the bench and the
   /// offset harness: +160 here means the detector latched an arrival 160
   /// samples (10 ms) after the true one -- the fixed-echo signature.
   double detection_offset_samples = 0.0;

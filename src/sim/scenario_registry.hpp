@@ -18,20 +18,14 @@
 
 namespace resloc::sim {
 
-/// Knobs a scenario builder may honor. A zero/default value means "use the
-/// scenario's canonical setting" (e.g. the 49-position grass grid).
+/// Knobs a scenario builder may honor. Mote failures are not one of them:
+/// the runner's drop_rate axis removes nodes after the build (see
+/// drop_random_nodes), and grass_grid always loses its 3 motes.
 struct ScenarioParams {
-  /// Target node count; 0 keeps the scenario's native size. Grid scenarios
-  /// choose a near-square layout, random_uniform places exactly this many.
+  /// Target node count; 0 keeps the scenario's native size (e.g. the
+  /// 49-position grass grid). Grid scenarios choose a near-square layout,
+  /// random_uniform places exactly this many.
   std::size_t node_count = 0;
-  /// Nodes randomly removed after construction (mote failures). Anchors, if
-  /// the scenario defines any, are never dropped.
-  std::size_t drop_count = 0;
-  /// Field dimensions for the random_uniform scenario.
-  double field_width_m = 70.0;
-  double field_height_m = 70.0;
-  /// Minimum pairwise spacing for the random_uniform scenario.
-  double min_spacing_m = 9.0;
 };
 
 /// Builds a deployment for the given parameters. Must be deterministic in
@@ -44,7 +38,7 @@ using ScenarioBuilder =
 ///   "grass_grid"     -- offset grid with 3 failed motes (native 46 nodes)
 ///   "town"           -- the 59-node small-town layout of Figures 20-22
 ///   "parking_lot"    -- the 15-node / 5-anchor lot of Figure 12
-///   "random_uniform" -- uniform random field with minimum spacing
+///   "random_uniform" -- uniform random 70 x 70 m field, 9 m minimum spacing
 ///   "urban_60"       -- the 60-node urban survey site of Figures 2/4
 ///                       (random 70 x 55 m, 6 m minimum spacing)
 ///   "wooded_patch"   -- 30 nodes over a 60 x 60 m wooded area (native size;

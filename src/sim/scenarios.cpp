@@ -71,13 +71,4 @@ GrassGridScenario grass_grid_scenario(std::uint64_t seed, int rounds) {
   return scenario;
 }
 
-void assign_random_anchors(resloc::core::Deployment& deployment, std::size_t count,
-                           std::uint64_t seed) {
-  resloc::math::Rng rng(seed);
-  // choose_random_anchors clamps count to the node count, clears any previous
-  // anchor set, and samples without replacement -- oversized requests and
-  // repeated calls are safe rather than trusted to the caller.
-  choose_random_anchors(deployment, count, rng);
-}
-
 }  // namespace resloc::sim

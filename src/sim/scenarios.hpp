@@ -43,10 +43,4 @@ struct GrassGridScenario {
 /// failed motes) with the refined service. Deterministic per seed.
 GrassGridScenario grass_grid_scenario(std::uint64_t seed, int rounds = 3);
 
-/// Designates `count` random anchors on a scenario deployment (the paper
-/// randomly chose 13 of 46 grid nodes). Any previous anchor set is replaced;
-/// picks are distinct; `count` is clamped to the node count.
-void assign_random_anchors(resloc::core::Deployment& deployment, std::size_t count,
-                           std::uint64_t seed);
-
 }  // namespace resloc::sim

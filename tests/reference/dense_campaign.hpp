@@ -59,7 +59,7 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
   std::vector<acoustics::SpeakerUnit> speakers;
   std::vector<acoustics::MicUnit> mics;
   for (std::size_t i = 0; i < n; ++i) {
-    speakers.push_back(config.units.sample_speaker(config.nominal_speaker_db, rng));
+    speakers.push_back(config.units.sample_speaker(acoustics::kLoudspeakerDb, rng));
     mics.push_back(config.units.sample_mic(rng));
   }
   const ranging::RangingService service(config.ranging);
@@ -72,7 +72,7 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
     shadowing.assign(n * n, 0.0);
     for (core::NodeId i = 0; i < n; ++i) {
       for (auto j = static_cast<core::NodeId>(i + 1); j < n; ++j) {
-        const double s = link_shadowing_db(shadow_base, i, j, n, config.link_shadowing_stddev_db);
+        const double s = link_shadowing_db(shadow_base, i, j, n, sim::kLinkShadowingStddevDb);
         shadowing[i * n + j] = s;
         shadowing[j * n + i] = s;
         if (math::distance(deployment.positions[i], deployment.positions[j]) >
@@ -90,8 +90,7 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
   ranging::RangingScratch scratch;
   PerSampleScratch per_sample_scratch;
   sim::ChannelResponseCache channel_cache(config.ranging.environment);
-  const double samples_per_meter =
-      config.ranging.tdoa.sample_rate_hz / config.ranging.tdoa.speed_of_sound_mps;
+  const double samples_per_meter = acoustics::kSampleRateHz / acoustics::kSpeedOfSoundMps;
   const std::size_t num_turns =
       config.rounds > 0 ? static_cast<std::size_t>(config.rounds) * n : 0;
   for (std::size_t turn = 0; turn < num_turns; ++turn) {
@@ -102,7 +101,7 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
       speaker.output_db += scan == PairScan::kDense
                                ? shadowing[source * n + receiver]
                                : link_shadowing_db(shadow_base, source, receiver, n,
-                                                   config.link_shadowing_stddev_db);
+                                                   sim::kLinkShadowingStddevDb);
       const acoustics::LinkResponse& link = channel_cache.lookup(true_d);
       const auto estimate =
           path == MeasurePath::kPerSample

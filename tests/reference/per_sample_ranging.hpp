@@ -117,14 +117,15 @@ inline void sample_detector_window(const acoustics::EnvironmentProfile& env,
     if (scratch.tone[i] != 0) {
       p = acoustics::detection_probability(scratch.best_snr[i]);
     } else {
-      p = scratch.burst[i] != 0 ? env.noise_burst_false_positive_rate : env.false_positive_rate;
+      p = scratch.burst[i] != 0 ? acoustics::kNoiseBurstFalsePositiveRate
+                                : env.false_positive_rate;
       if (mic.faulty) p = std::max(p, kFaultyMicFalsePositiveRate);
     }
     scratch.fired[i] = rng.bernoulli(p);
   }
 }
 
-/// The NCC detector's marks as a std::vector<bool>: a peak_plateau run at
+/// The NCC detector's marks as a std::vector<bool>: a kPeakPlateau run at
 /// every onset the production scan picked.
 inline void ncc_marks(ranging::MatchedFilterNcc& filter, const double* x, std::size_t n,
                       std::size_t chirp_samples, const acoustics::ToneTemplateView& tpl,
@@ -132,17 +133,18 @@ inline void ncc_marks(ranging::MatchedFilterNcc& filter, const double* x, std::s
   scratch.marks.resize(n);
   filter.detect_into(x, n, chirp_samples, tpl, scratch.marks.data());
   scratch.fired.assign(n, false);
+  constexpr auto kPlateau = static_cast<std::size_t>(ranging::MatchedFilterNcc::kPeakPlateau);
   for (std::size_t i : filter.peaks()) {
-    const std::size_t end = std::min(n, i + static_cast<std::size_t>(filter.peak_plateau()));
+    const std::size_t end = std::min(n, i + kPlateau);
     for (std::size_t j = i; j < end; ++j) scratch.fired[j] = true;
   }
 }
 
 /// Sampled-audio envelope: per-sample tone amplitude (the SNR over unit
 /// noise) and the burst flags.
-inline void rasterize_envelope(const ranging::RangingConfig& config, std::size_t n,
-                               const acoustics::MicUnit& mic, PerSampleScratch& scratch) {
-  const double dt = 1.0 / config.tdoa.sample_rate_hz;
+inline void rasterize_envelope(std::size_t n, const acoustics::MicUnit& mic,
+                               PerSampleScratch& scratch) {
+  const double dt = 1.0 / acoustics::kSampleRateHz;
   const acoustics::ReceivedWindow& window = scratch.received;
   scratch.amplitude.assign(n, mic.faulty ? kFaultyMicLeakAmplitude : 0.0);
   for (const acoustics::SignalInterval& s : window.signals) {
@@ -167,16 +169,16 @@ inline void rasterize_envelope(const ranging::RangingConfig& config, std::size_t
 inline void goertzel_window(const ranging::RangingConfig& config, std::size_t n,
                             const acoustics::MicUnit& mic, math::Rng& rng,
                             PerSampleScratch& scratch) {
-  const double fs = config.tdoa.sample_rate_hz;
+  const double fs = acoustics::kSampleRateHz;
   const double frequency_hz = config.pattern.tone_frequency_hz;
-  rasterize_envelope(config, n, mic, scratch);
+  rasterize_envelope(n, mic, scratch);
   scratch.tone_table.resize(n);
   const double step = 2.0 * math::kPi * frequency_hz / fs;
   for (std::size_t i = 0; i < n; ++i) {
     scratch.tone_table[i] = std::sin(step * static_cast<double>(i));
   }
   ranging::GoertzelToneDetector detector(frequency_hz, fs, ranging::SlidingDftFilter::kWindow,
-                                         config.software_noise_scale);
+                                         ranging::kSoftwareNoiseScale);
   constexpr std::size_t kGroupDelay = ranging::SlidingDftFilter::kWindow / 2;
   scratch.fired.assign(n, false);
   for (std::size_t i = 0; i < n; ++i) {
@@ -191,8 +193,8 @@ inline void goertzel_window(const ranging::RangingConfig& config, std::size_t n,
 /// like the Goertzel loop), then NCC-picked onsets marked.
 inline void ncc_window(const ranging::RangingConfig& config, std::size_t n,
                        const acoustics::MicUnit& mic, math::Rng& rng, PerSampleScratch& scratch) {
-  const double fs = config.tdoa.sample_rate_hz;
-  rasterize_envelope(config, n, mic, scratch);
+  const double fs = acoustics::kSampleRateHz;
+  rasterize_envelope(n, mic, scratch);
   const acoustics::ToneTemplateView tpl =
       scratch.synth.tone_template_view(fs, config.pattern.tone_frequency_hz, n);
   scratch.audio.resize(n);
@@ -200,7 +202,7 @@ inline void ncc_window(const ranging::RangingConfig& config, std::size_t n,
     const double sigma = scratch.burst[i] != 0 ? kBurstNoiseSigma : 1.0;
     scratch.audio[i] = scratch.amplitude[i] * tpl.sin_t[i] + rng.gaussian(0.0, sigma);
   }
-  ranging::MatchedFilterNcc filter(config.ncc_threshold, config.ncc_peak_plateau);
+  ranging::MatchedFilterNcc filter;
   const auto chirp_samples =
       static_cast<std::size_t>(std::llround(config.pattern.chirp_duration_s * fs));
   ncc_marks(filter, scratch.audio.data(), n, chirp_samples, tpl, scratch);
@@ -224,9 +226,9 @@ inline ranging::RangingAttempt measure(const ranging::RangingService& service,
   scratch.emissions.clear();
   for (double s : scratch.starts) scratch.emissions.push_back({s, pattern.chirp_duration_s});
 
-  const double window_duration_s = static_cast<double>(n) / config.tdoa.sample_rate_hz;
+  const double window_duration_s = static_cast<double>(n) / acoustics::kSampleRateHz;
   const double calibration_bias_s =
-      config.tdoa.delta_const_true_s - config.tdoa.delta_const_calibrated_s;
+      config.tdoa.delta_const_true_s - ranging::kDeltaConstCalibratedS;
   const acoustics::LinkResponse link_local =
       link != nullptr ? *link : acoustics::link_response(true_distance_m, config.environment);
 
@@ -239,7 +241,7 @@ inline ranging::RangingAttempt measure(const ranging::RangingService& service,
                             config.channel_jitter, rng);
     switch (config.detector_mode) {
       case ranging::DetectorMode::kHardware:
-        sample_detector_window(config.environment, config.tdoa.sample_rate_hz,
+        sample_detector_window(config.environment, acoustics::kSampleRateHz,
                                scratch.received, n, mic, rng, scratch);
         break;
       case ranging::DetectorMode::kGoertzel:
@@ -259,15 +261,15 @@ inline ranging::RangingAttempt measure(const ranging::RangingService& service,
   int index = scanner.next();
   if (!config.baseline && config.verify_pattern) {
     while (index >= 0 &&
-           !ranging::verify_preceding_silence(samples, index, config.silence_gap_samples,
-                                              detection.threshold, config.silence_max_noisy)) {
+           !ranging::verify_preceding_silence(samples, index, ranging::kSilenceGapSamples,
+                                              detection.threshold, ranging::kSilenceMaxNoisy)) {
       ++attempt.rejected_detections;
       index = scanner.next();
     }
   }
   if (index >= 0) {
     attempt.detection_index = index;
-    attempt.distance_m = ranging::distance_from_detection_index(index, config.tdoa);
+    attempt.distance_m = ranging::distance_from_detection_index(index);
   }
   return attempt;
 }

@@ -144,9 +144,8 @@ TEST(ChirpPattern, StartTimesRespectStructure) {
   EXPECT_DOUBLE_EQ(starts[0], 0.0);
   for (std::size_t i = 1; i < starts.size(); ++i) {
     const double gap = starts[i] - starts[i - 1];
-    EXPECT_GE(gap, pattern.chirp_duration_s + pattern.inter_chirp_gap_s - 1e-12);
-    EXPECT_LE(gap, pattern.chirp_duration_s + pattern.inter_chirp_gap_s +
-                        pattern.random_delay_max_s + 1e-12);
+    EXPECT_GE(gap, pattern.chirp_duration_s + kInterChirpGapS - 1e-12);
+    EXPECT_LE(gap, pattern.chirp_duration_s + kInterChirpGapS + kRandomDelayMaxS + 1e-12);
   }
 }
 
@@ -174,11 +173,10 @@ TEST(Channel, DirectSignalArrivesAtTravelTime) {
                               jitter, rng);
   // Ramp-up segment plus full-level segment.
   ASSERT_EQ(window.signals.size(), 2u);
-  const double travel = d / env.speed_of_sound_mps;
+  const double travel = d / kSpeedOfSoundMps;
   EXPECT_NEAR(window.signals[0].start_s, travel, 1e-9);
-  EXPECT_NEAR(window.signals[0].end_s, travel + jitter.rampup_s, 1e-9);
-  EXPECT_NEAR(window.signals[0].snr_db + jitter.rampup_penalty_db, window.signals[1].snr_db,
-              1e-9);
+  EXPECT_NEAR(window.signals[0].end_s, travel + kRampupS, 1e-9);
+  EXPECT_NEAR(window.signals[0].snr_db + kRampupPenaltyDb, window.signals[1].snr_db, 1e-9);
   EXPECT_NEAR(window.signals[1].end_s, travel + 0.008, 1e-9);
 }
 
@@ -219,10 +217,10 @@ TEST(Channel, EchoesAreWeakerAndLater) {
         receive({{0.0, 0.008}}, 0.0, 0.5, d, SpeakerUnit{}, MicUnit{}, env, jitter, rng);
     // The strongest interval is the full-level direct body; anything clearly
     // below it is an echo and must start no earlier than the direct signal.
-    const double direct_start = d / env.speed_of_sound_mps;
+    const double direct_start = d / kSpeedOfSoundMps;
     for (const auto& s : window.signals) {
       EXPECT_LE(s.snr_db, body_snr + 3.0);
-      if (s.snr_db < body_snr - jitter.rampup_penalty_db - 0.5) {
+      if (s.snr_db < body_snr - kRampupPenaltyDb - 0.5) {
         ++echoes_seen;
         EXPECT_GT(s.start_s, direct_start - 1e-9);
       }

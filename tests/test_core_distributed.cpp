@@ -164,7 +164,7 @@ TEST(DistributedLss, DisconnectedComponentUnlocalized) {
 }
 
 TEST(DistributedLss, TooFewSharedMembersBlocksAlignment) {
-  // A 2-node chain: each local map has 2 members -> below min_shared_members.
+  // A 2-node chain: each local map has 2 members -> below kMinSharedMembers.
   MeasurementSet meas(2);
   meas.add(0, 1, 10.0);
   Rng rng(9);

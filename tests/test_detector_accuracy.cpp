@@ -54,7 +54,7 @@ resloc::ranging::RangingConfig fixture_config(DetectorMode mode, bool fixed_echo
   config.max_window_range_m = 22.0;
   config.tdoa.sync_jitter_s = 0.0;
   config.channel_jitter.actuation_jitter_s = 0.0;
-  config.tdoa.delta_const_true_s = config.tdoa.delta_const_calibrated_s;
+  config.tdoa.delta_const_true_s = resloc::ranging::kDeltaConstCalibratedS;
   config.detector_mode = mode;
   return config;
 }
@@ -78,7 +78,7 @@ OffsetSummary offset_summary(const resloc::ranging::RangingConfig& config,
   std::vector<double> abs_offsets;
   std::vector<double> signed_offsets;
   for (const double d : distances) {
-    const int expected = resloc::ranging::detection_index_for_distance(d, config.tdoa);
+    const int expected = resloc::ranging::detection_index_for_distance(d);
     resloc::math::Rng rng(seed);
     for (int t = 0; t < trials; ++t) {
       resloc::math::Rng stream = rng.fork(t);

@@ -169,9 +169,9 @@ TEST(FaultInjector, CorruptionModesMatchTheNanFraction) {
       const resloc::core::NodeId rcv = (src + 3) % 8;
       EXPECT_TRUE(std::isnan(always_nan.corrupt_distance(round, src, rcv, 10.0)));
       const double out = always_outlier.corrupt_distance(round, src, rcv, 10.0);
-      // Outliers multiply by uniform(2, 1 + outlier_scale).
+      // Outliers multiply by uniform(2, 1 + kOutlierScale).
       EXPECT_GE(out, 10.0 * 2.0);
-      EXPECT_LE(out, 10.0 * (1.0 + outlier_plan.outlier_scale));
+      EXPECT_LE(out, 10.0 * (1.0 + resloc::fault::kOutlierScale));
     }
   }
 }

@@ -52,7 +52,8 @@ TEST(Integration, MultilaterationVsLssOnSparseData) {
   // The paper's central comparison: on sparse field data, multilateration
   // localizes a minority while LSS localizes everyone.
   auto scenario = sim::grass_grid_scenario(1003, /*rounds=*/3);
-  sim::assign_random_anchors(scenario.deployment, 13, 77);
+  math::Rng anchor_rng(77);
+  sim::choose_random_anchors(scenario.deployment, 13, anchor_rng);
 
   core::MultilaterationOptions mopt;
   math::Rng rng(4);

@@ -17,23 +17,21 @@ using namespace resloc::ranging;
 using resloc::math::Rng;
 
 TEST(Tdoa, IndexDistanceRoundTrip) {
-  TdoaParams params;
   for (double d : {1.0, 5.0, 10.0, 20.0}) {
-    const int index = detection_index_for_distance(d, params);
-    const double back = distance_from_detection_index(index, params);
+    const int index = detection_index_for_distance(d);
+    const double back = distance_from_detection_index(index);
     // Quantization error bounded by one sample of acoustic travel (~2.1 cm).
-    EXPECT_NEAR(back, d, params.speed_of_sound_mps / params.sample_rate_hz + 1e-9);
+    EXPECT_NEAR(back, d,
+                resloc::acoustics::kSpeedOfSoundMps / resloc::acoustics::kSampleRateHz + 1e-9);
   }
 }
 
 TEST(Tdoa, IndexZeroIsDistanceZero) {
-  TdoaParams params;
-  EXPECT_DOUBLE_EQ(distance_from_detection_index(0, params), 0.0);
+  EXPECT_DOUBLE_EQ(distance_from_detection_index(0), 0.0);
 }
 
 TEST(Tdoa, WindowCoversRangePlusChirp) {
-  TdoaParams params;
-  const std::size_t samples = window_samples_for_range(20.0, 0.008, params);
+  const std::size_t samples = window_samples_for_range(20.0, 0.008);
   // 20 m at 340 m/s = 58.8 ms; + 8 ms chirp = 66.8 ms at 16 kHz = 1069 samples.
   EXPECT_NEAR(static_cast<double>(samples), (20.0 / 340.0 + 0.008) * 16000.0, 2.0);
 }
@@ -208,6 +206,81 @@ TEST(RangingService, RejectsChirpCountsOutsideTheCounterCap) {
   }
 }
 
+/// Expects the RangingService constructor to reject `config` with an
+/// std::invalid_argument whose message names `field`.
+void expect_rejected(const RangingConfig& config, const std::string& field,
+                     const std::string& label) {
+  try {
+    const RangingService service(config);
+    ADD_FAILURE() << "expected std::invalid_argument for " << label;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("RangingConfig." + field), std::string::npos) << label << ": " << what;
+  }
+}
+
+const double kNonPositiveOrNonFinite[] = {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL};
+
+// The window size is a float-to-integer cast of these two fields, so they
+// are validated before the service computes it.
+TEST(RangingService, RejectsNonPositiveOrNonFiniteWindowRange) {
+  for (const double range : kNonPositiveOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.max_window_range_m = range;
+    expect_rejected(config, "max_window_range_m", std::to_string(range));
+  }
+}
+
+TEST(RangingService, RejectsNonPositiveOrNonFiniteChirpDuration) {
+  for (const double duration : kNonPositiveOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.pattern.chirp_duration_s = duration;
+    expect_rejected(config, "pattern.chirp_duration_s", std::to_string(duration));
+  }
+}
+
+TEST(RangingService, RejectsDetectionThresholdOutsideTheCounterRange) {
+  for (const int threshold : {0, -1, SignalAccumulator::kMaxChirps + 1}) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.detection.threshold = threshold;
+    expect_rejected(config, "detection.threshold", std::to_string(threshold));
+  }
+}
+
+TEST(RangingService, RejectsEmptyDetectionWindow) {
+  for (const int window : {0, -32}) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.detection.window = window;
+    expect_rejected(config, "detection.window", std::to_string(window));
+  }
+}
+
+TEST(RangingService, RejectsMinDetectionsOutsideTheWindow) {
+  for (const int k : {0, -1, 33}) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.detection.window = 32;
+    config.detection.min_detections = k;
+    expect_rejected(config, "detection.min_detections", std::to_string(k));
+  }
+}
+
+TEST(RangingService, AcceptsEveryDetectionSettingInUse) {
+  const DetectionParams in_use[] = {
+      {1, 32, 6}, {2, 32, 6}, {4, 32, 6},                            // the sweeps' T axis
+      {4, 32, 10},                                                   // urban scenario
+      {1, 32, 4}, {3, 32, 8}, {6, 32, 14},                           // ablation (T, k)
+      {SignalAccumulator::kMaxChirps, 32, 6}, {1, 1, 1}, {2, 32, 32}  // range edges
+  };
+  for (const DetectionParams& detection : in_use) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.detection = detection;
+    EXPECT_NO_THROW(validate_ranging_config(config))
+        << "T=" << detection.threshold << " m=" << detection.window
+        << " k=" << detection.min_detections;
+  }
+  EXPECT_NO_THROW(validate_ranging_config(resloc::sim::urban_refined_ranging()));
+}
+
 TEST(RangingService, DiagnosticsExposeDetectionIndex) {
   const auto config = resloc::sim::grass_refined_ranging();
   const RangingService service(config);
@@ -219,7 +292,7 @@ TEST(RangingService, DiagnosticsExposeDetectionIndex) {
   EXPECT_GE(attempt.detection_index, 0);
   EXPECT_EQ(scratch.accumulator.samples().size(), service.window_samples());
   // Detection index consistent with the returned distance.
-  EXPECT_NEAR(distance_from_detection_index(attempt.detection_index, config.tdoa),
+  EXPECT_NEAR(distance_from_detection_index(attempt.detection_index),
               *attempt.distance_m, 1e-9);
 }
 
@@ -245,7 +318,7 @@ TEST(RangingService, CalibrationBiasShiftsEstimates) {
   };
   auto calibrated = resloc::sim::grass_refined_ranging();
   auto biased = calibrated;
-  biased.tdoa.delta_const_true_s = calibrated.tdoa.delta_const_calibrated_s + 0.0006;
+  biased.tdoa.delta_const_true_s = kDeltaConstCalibratedS + 0.0006;
   const double shift = mean_error(biased, 6) - mean_error(calibrated, 6);
   EXPECT_NEAR(shift, 0.0006 * 340.0, 0.1);  // ~20 cm
 }

@@ -17,6 +17,7 @@
 #include "core/types.hpp"
 #include "eval/aggregate.hpp"
 #include "fault/fault_plan.hpp"
+#include "ranging/signal_detection.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/sweep_spec.hpp"
 #include "sim/scenario_registry.hpp"
@@ -180,6 +181,16 @@ TEST(Resilience, ChirpCountPastCounterCapIsAConfigStageFailure) {
   EXPECT_FALSE(result.trials[0].ok);
   EXPECT_EQ(result.trials[0].failure, FailureReason::kConfig);
   EXPECT_NE(result.trials[0].error.find("RangingConfig.pattern.num_chirps"), std::string::npos);
+}
+
+TEST(Resilience, DetectionThresholdPastCounterCapIsAConfigStageFailure) {
+  SweepSpec spec = acoustic_fault_sweep();
+  spec.axes.detection_thresholds = {resloc::ranging::SignalAccumulator::kMaxChirps + 1};
+  const CampaignResult result = CampaignRunner(RunnerOptions{1}).run(spec);
+  ASSERT_EQ(result.trials.size(), 1u);
+  EXPECT_FALSE(result.trials[0].ok);
+  EXPECT_EQ(result.trials[0].failure, FailureReason::kConfig);
+  EXPECT_NE(result.trials[0].error.find("RangingConfig.detection.threshold"), std::string::npos);
 }
 
 TEST(Resilience, NonStdExceptionsAreIsolatedAndClassified) {

@@ -121,19 +121,22 @@ TEST(Deployments, RandomAnchors) {
 // Regression: an anchor request larger than the deployment used to be
 // forwarded unchecked into sample_indices, which in release builds padded
 // the pick list with duplicate zero indices.
-TEST(Deployments, AssignRandomAnchorsClampsOversizedCount) {
+TEST(Deployments, ChooseRandomAnchorsClampsOversizedCount) {
   auto d = offset_grid(3, 3);  // 9 nodes
-  assign_random_anchors(d, 50, /*seed=*/7);
+  Rng rng(7);
+  choose_random_anchors(d, 50, rng);
   EXPECT_EQ(d.anchors.size(), 9u);
   const std::set<NodeId> unique(d.anchors.begin(), d.anchors.end());
   EXPECT_EQ(unique.size(), 9u);  // distinct picks, no duplicates
   for (NodeId id : d.anchors) EXPECT_LT(id, 9u);
 }
 
-TEST(Deployments, AssignRandomAnchorsReplacesPreviousSet) {
+TEST(Deployments, ChooseRandomAnchorsReplacesPreviousSet) {
   auto d = offset_grid();
-  assign_random_anchors(d, 13, 1);
-  assign_random_anchors(d, 5, 2);  // second call must not accumulate
+  Rng first(1);
+  choose_random_anchors(d, 13, first);
+  Rng second(2);
+  choose_random_anchors(d, 5, second);  // second call must not accumulate
   EXPECT_EQ(d.anchors.size(), 5u);
   const std::set<NodeId> unique(d.anchors.begin(), d.anchors.end());
   EXPECT_EQ(unique.size(), 5u);
@@ -177,9 +180,8 @@ TEST(ScenarioRegistry, FixedGeometryRejectsMismatchedNodeCount) {
 
 TEST(ScenarioRegistry, DropPreservesAnchorsAndRemapsIds) {
   Rng rng(13);
-  ScenarioParams params;
-  params.drop_count = 4;
-  const auto lot = build_scenario("parking_lot", params, rng);
+  auto lot = parking_lot_15();
+  drop_random_nodes(lot, 4, rng);
   EXPECT_EQ(lot.size(), 11u);  // 15 - 4, anchors never dropped
   EXPECT_EQ(lot.anchors.size(), 5u);
   for (NodeId id : lot.anchors) EXPECT_LT(id, lot.size());
