@@ -40,10 +40,13 @@ SampleSpan interval_sample_span(double window_start_s, double dt, std::size_t nu
   return {lo, hi};
 }
 
-void ToneDetectorModel::fire_thresholds_block(const ReceivedWindow& window,
-                                              std::size_t num_samples, const MicUnit& mic,
-                                              DetectorScratch& scratch,
-                                              std::uint64_t* thresholds) const {
+void ToneDetectorModel::threshold_runs(const ReceivedWindow& window, std::size_t num_samples,
+                                       const MicUnit& mic, DetectorScratch& scratch) const {
+  std::vector<ThresholdRun>& runs = scratch.runs;
+  std::vector<SampleSpan>& spans = scratch.spans;
+  runs.clear();
+  spans.clear();
+  if (num_samples == 0) return;
   const double dt = sample_period_s();
 
   // Off-tone probabilities are per-window constants; a faulty mic's floor is
@@ -55,36 +58,68 @@ void ToneDetectorModel::fire_thresholds_block(const ReceivedWindow& window,
     base_rate = std::max(base_rate, kFaultyMicFalsePositiveRate);
     burst_rate = std::max(burst_rate, kFaultyMicFalsePositiveRate);
   }
+
+  for (const NoiseBurst& b : window.bursts) {
+    spans.push_back(interval_sample_span(window.start_s, dt, num_samples, b.start_s, b.end_s));
+  }
+  for (const SignalInterval& s : window.signals) {
+    spans.push_back(interval_sample_span(window.start_s, dt, num_samples, s.start_s, s.end_s));
+  }
+
+  // Segments: the set of covering intervals only changes at span edges. Real
+  // thresholds are at most 2^53, so two values above that mark a segment no
+  // tone covers yet.
+  constexpr std::uint64_t kUncovered = ~std::uint64_t{0};
+  constexpr std::uint64_t kBurstOnly = kUncovered - 1;
+  runs.push_back({0, kUncovered});
+  for (const SampleSpan& span : spans) {
+    if (span.lo == span.hi) continue;
+    runs.push_back({span.lo, kUncovered});
+    if (span.hi < num_samples) runs.push_back({span.hi, kUncovered});
+  }
+  const auto by_first = [](const ThresholdRun& a, const ThresholdRun& b) {
+    return a.first < b.first;
+  };
+  std::sort(runs.begin(), runs.end(), by_first);
+  runs.erase(std::unique(runs.begin(), runs.end(),
+                         [](const ThresholdRun& a, const ThresholdRun& b) {
+                           return a.first == b.first;
+                         }),
+             runs.end());
+
+  // Paint each span onto its segments: bursts first, then tones, which
+  // override the noise floors entirely and combine by max. Converting per
+  // interval and maxing thresholds equals converting the strongest SNR,
+  // because detection_probability and bernoulli_threshold are both monotone
+  // non-decreasing: one detection_probability call per interval.
+  const auto paint = [&](const SampleSpan& span, auto&& update) {
+    auto it = std::lower_bound(runs.begin(), runs.end(), ThresholdRun{span.lo, 0}, by_first);
+    for (; it != runs.end() && it->first < span.hi; ++it) update(it->threshold);
+  };
+  const std::size_t num_bursts = window.bursts.size();
+  for (std::size_t i = 0; i < num_bursts; ++i) {
+    paint(spans[i], [&](std::uint64_t& t) {
+      if (t == kUncovered) t = kBurstOnly;
+    });
+  }
+  for (std::size_t i = 0; i < window.signals.size(); ++i) {
+    const std::uint64_t tone_threshold =
+        resloc::math::Rng::bernoulli_threshold(detection_probability(window.signals[i].snr_db));
+    paint(spans[num_bursts + i], [&](std::uint64_t& t) {
+      t = t >= kBurstOnly ? tone_threshold : std::max(t, tone_threshold);
+    });
+  }
+
   const std::uint64_t base_threshold = resloc::math::Rng::bernoulli_threshold(base_rate);
   const std::uint64_t burst_threshold = resloc::math::Rng::bernoulli_threshold(burst_rate);
-
-  std::fill(thresholds, thresholds + num_samples, base_threshold);
-  for (const NoiseBurst& b : window.bursts) {
-    const SampleSpan span =
-        interval_sample_span(window.start_s, dt, num_samples, b.start_s, b.end_s);
-    std::fill(thresholds + span.lo, thresholds + span.hi, burst_threshold);
+  std::size_t kept = 0;
+  for (ThresholdRun run : runs) {
+    if (run.threshold == kUncovered) run.threshold = base_threshold;
+    if (run.threshold == kBurstOnly) run.threshold = burst_threshold;
+    if (kept > 0 && runs[kept - 1].threshold == run.threshold) continue;
+    runs[kept++] = run;
   }
-
-  // Tone spans override the noise floors entirely, and overlapping tones
-  // combine by max. Converting per interval and maxing thresholds equals
-  // converting the strongest SNR, because detection_probability and
-  // bernoulli_threshold are both monotone non-decreasing: one
-  // detection_probability call per interval instead of per covered sample.
-  scratch.tone.assign(num_samples, 0);
-  for (const SignalInterval& s : window.signals) {
-    const std::uint64_t tone_threshold =
-        resloc::math::Rng::bernoulli_threshold(detection_probability(s.snr_db));
-    const SampleSpan span =
-        interval_sample_span(window.start_s, dt, num_samples, s.start_s, s.end_s);
-    for (std::size_t i = span.lo; i < span.hi; ++i) {
-      if (scratch.tone[i] != 0) {
-        thresholds[i] = std::max(thresholds[i], tone_threshold);
-      } else {
-        scratch.tone[i] = 1;
-        thresholds[i] = tone_threshold;
-      }
-    }
-  }
+  runs.resize(kept);
 }
 
 }  // namespace resloc::acoustics

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include "math/constants.hpp"
+#include "math/rng_lanes.hpp"
 #include "math/simd_dispatch.hpp"
 
 #if RESLOC_X86_SIMD
@@ -37,13 +38,13 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// 16-lane jump-ahead seed block shared by every fill_bits_groups variant:
-/// lane r starts at the state of raw u32 index r, and (jump_mul, jump_add)
-/// advance any lane by 16 raw steps. Jump constants by doubling: if
-/// s' = A s + C jumps L steps, then A^2 s + (A + 1) C jumps 2L; four
-/// doublings give jump-by-16.
+/// 16-lane jump-ahead seed block shared by every high_words variant: lane r
+/// starts at the state of raw u32 index 2r (the high word of draw r), and
+/// (jump_mul, jump_add) advance any lane by 32 raw steps. Jump constants by
+/// doubling: if s' = A s + C jumps L steps, then A^2 s + (A + 1) C jumps 2L;
+/// five doublings give jump-by-32.
 struct LaneSetup {
-  std::uint64_t s[16];
+  std::uint64_t s[detail::kHighWordLanes];
   std::uint64_t jump_mul;
   std::uint64_t jump_add;
 };
@@ -51,46 +52,54 @@ struct LaneSetup {
 LaneSetup lane_setup(std::uint64_t state, std::uint64_t inc) {
   LaneSetup ls;
   ls.s[0] = state;
-  for (int r = 1; r < 16; ++r) ls.s[r] = ls.s[r - 1] * kMultiplier + inc;
+  for (std::size_t r = 1; r < detail::kHighWordLanes; ++r) {
+    ls.s[r] = (ls.s[r - 1] * kMultiplier + inc) * kMultiplier + inc;
+  }
   ls.jump_mul = kMultiplier;
   ls.jump_add = inc;
-  for (int d = 0; d < 4; ++d) {
+  for (int d = 0; d < 5; ++d) {
     ls.jump_add *= ls.jump_mul + 1;
     ls.jump_mul *= ls.jump_mul;
   }
   return ls;
 }
 
-/// Portable body of fill_uniform_bits_block: emits `groups` * 8 uniforms
-/// (16 raw u32 outputs per group) and returns the LCG state after
-/// 16 * groups raw steps -- exactly the sequential state. Lane r carries the
-/// states of raw indices congruent to r mod 16, so the serial multiply
-/// dependency becomes 16 independent chains.
-std::uint64_t fill_bits_groups(std::uint64_t state, std::uint64_t inc, std::uint64_t* out,
-                               std::size_t groups) {
+#if RESLOC_X86_SIMD
+/// 64 x 64 -> low 64 multiply from 32-bit partial products (AVX2 has no
+/// 64-bit lane multiply): lo*lo + ((hi*lo + lo*hi) << 32).
+__attribute__((target("avx2")))
+inline __m256i mullo64_avx2(__m256i a, __m256i b) {
+  const __m256i lo = _mm256_mul_epu32(a, b);
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
+                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
+  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
+}
+#endif  // RESLOC_X86_SIMD
+}  // namespace
+
+namespace detail {
+
+std::uint64_t high_words_portable(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                                  std::size_t groups) {
   LaneSetup ls = lane_setup(state, inc);
   for (std::size_t g = 0; g < groups; ++g) {
-    std::uint32_t o[16];
-    for (int r = 0; r < 16; ++r) {
-      o[r] = pcg_output(ls.s[r]);
+    for (std::size_t r = 0; r < kHighWordLanes; ++r) {
+      out[kHighWordLanes * g + r] = pcg_output(ls.s[r]);
       ls.s[r] = ls.s[r] * ls.jump_mul + ls.jump_add;
     }
-    for (int j = 0; j < 8; ++j) {
-      out[8 * g + j] =
-          ((static_cast<std::uint64_t>(o[2 * j]) << 32) | o[2 * j + 1]) >> 11;
-    }
   }
-  return ls.s[0];  // lane 0 holds raw index 16 * groups = the sequential state
+  return ls.s[0];  // lane 0 holds raw index 32 * groups = the sequential state
 }
 
 #if RESLOC_X86_SIMD
 
-/// AVX-512 variant: two vectors of 8 LCG lanes. XSH-RR maps directly onto
-/// the ISA -- 64-bit lane multiply (vpmullq), truncating narrow
-/// (vpmovqd), and the per-lane 32-bit variable rotate is a single vprorvd.
+/// XSH-RR maps directly onto AVX-512: 64-bit lane multiply (vpmullq),
+/// truncating narrow (vpmovqd), and the per-lane 32-bit variable rotate is a
+/// single vprorvd.
 __attribute__((target("avx512f,avx512dq,avx512vl")))
-std::uint64_t fill_bits_groups_avx512(std::uint64_t state, std::uint64_t inc,
-                                      std::uint64_t* out, std::size_t groups) {
+std::uint64_t high_words_avx512(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                                std::size_t groups) {
   const LaneSetup ls = lane_setup(state, inc);
   __m512i s0 = _mm512_loadu_si512(ls.s);
   __m512i s1 = _mm512_loadu_si512(ls.s + 8);
@@ -105,15 +114,8 @@ std::uint64_t fill_bits_groups_avx512(std::uint64_t state, std::uint64_t inc,
                                          _mm512_cvtepi64_epi32(_mm512_srli_epi64(s0, 59)));
     const __m256i o1 = _mm256_rorv_epi32(_mm512_cvtepi64_epi32(x1),
                                          _mm512_cvtepi64_epi32(_mm512_srli_epi64(s1, 59)));
-    // out[j] = ((u64)o[2j] << 32 | o[2j+1]) >> 11: in the little-endian u64
-    // view adjacent u32 lanes sit swapped, so one 32-bit element swap plus a
-    // 64-bit shift produces four outputs per vector.
-    const __m256i p0 =
-        _mm256_srli_epi64(_mm256_shuffle_epi32(o0, _MM_SHUFFLE(2, 3, 0, 1)), 11);
-    const __m256i p1 =
-        _mm256_srli_epi64(_mm256_shuffle_epi32(o1, _MM_SHUFFLE(2, 3, 0, 1)), 11);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * g), p0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * g + 4), p1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g), o0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g + 8), o1);
     s0 = _mm512_add_epi64(_mm512_mullo_epi64(s0, jm), ja);
     s1 = _mm512_add_epi64(_mm512_mullo_epi64(s1, jm), ja);
   }
@@ -122,27 +124,16 @@ std::uint64_t fill_bits_groups_avx512(std::uint64_t state, std::uint64_t inc,
   return tail[0];
 }
 
-/// 64 x 64 -> low 64 multiply from 32-bit partial products (AVX2 has no
-/// 64-bit lane multiply): lo*lo + ((hi*lo + lo*hi) << 32).
-__attribute__((target("avx2")))
-inline __m256i mullo64_avx2(__m256i a, __m256i b) {
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
-                       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// AVX2 variant: four vectors of 4 LCG lanes, grouped even/odd by raw index
-/// (v0 = raw {0,2,4,6}, v1 = raw {1,3,5,7}, ...) so an output u64 is one
-/// shift-or across two vectors. The 32-bit rotate runs in the 64-bit lanes
+/// Lanes grouped even/odd (v0 = lanes {0,2,4,6}, v1 = {1,3,5,7}, v2/v3 the
+/// same for lanes 8..15), so one 32-bit shift-or of a vector pair lays eight
+/// outputs out in lane order. The 32-bit rotate runs in the 64-bit lanes
 /// with variable shifts; the rotated value still fits 32 bits.
 __attribute__((target("avx2")))
-std::uint64_t fill_bits_groups_avx2(std::uint64_t state, std::uint64_t inc,
-                                    std::uint64_t* out, std::size_t groups) {
+std::uint64_t high_words_avx2(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                              std::size_t groups) {
   const LaneSetup ls = lane_setup(state, inc);
-  alignas(32) std::uint64_t lanes[16];
-  for (int r = 0; r < 16; ++r) {
+  alignas(32) std::uint64_t lanes[kHighWordLanes];
+  for (std::size_t r = 0; r < kHighWordLanes; ++r) {
     lanes[8 * (r / 8) + 4 * (r % 2) + (r % 8) / 2] = ls.s[r];
   }
   __m256i v[4];
@@ -167,20 +158,18 @@ std::uint64_t fill_bits_groups_avx2(std::uint64_t state, std::uint64_t inc,
           _mm256_and_si256(_mm256_sllv_epi64(x, left_count), mask32));
       v[k] = _mm256_add_epi64(mullo64_avx2(s, jm), ja);
     }
-    // v0/v1 carry the even/odd raw outputs of u64s 0..3, v2/v3 of u64s 4..7.
-    const __m256i p0 =
-        _mm256_srli_epi64(_mm256_or_si256(_mm256_slli_epi64(o[0], 32), o[1]), 11);
-    const __m256i p1 =
-        _mm256_srli_epi64(_mm256_or_si256(_mm256_slli_epi64(o[2], 32), o[3]), 11);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * g), p0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * g + 4), p1);
+    const __m256i p0 = _mm256_or_si256(o[0], _mm256_slli_epi64(o[1], 32));
+    const __m256i p1 = _mm256_or_si256(o[2], _mm256_slli_epi64(o[3], 32));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g), p0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g + 8), p1);
   }
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v[0]);
-  return lanes[0];  // v0 lane 0 = raw index 16 * groups = the sequential state
+  return lanes[0];  // v0 lane 0 = raw index 32 * groups = the sequential state
 }
 
 #endif  // RESLOC_X86_SIMD
-}  // namespace
+}  // namespace detail
+
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) : state_(0), inc_((stream << 1u) | 1u) {
   next_u32();
@@ -201,7 +190,7 @@ std::uint64_t Rng::uniform_bits() {
 }
 
 std::uint64_t Rng::bernoulli_threshold(double p) {
-  if (p <= 0.0) return 0;                           // uniform() < p never holds
+  if (!(p > 0.0)) return 0;                         // uniform() < p never holds (NaN too)
   if (p >= 1.0) return std::uint64_t{1} << 53;      // always holds (bits < 2^53)
   // p * 2^53 is exact; the proof that bits < ceil(p * 2^53) matches
   // double(bits) * 2^-53 < p splits on whether p * 2^53 is an integer, and
@@ -214,27 +203,46 @@ double Rng::uniform() {
   return static_cast<double>(uniform_bits()) * 0x1.0p-53;
 }
 
-void Rng::fill_uniform_bits_block(std::uint64_t* out, std::size_t n) {
+void Rng::fill_high_words_block(std::uint32_t* out, std::size_t n) {
   // 16 jump-ahead lanes restructure the serial multiply chain into
   // independent streams the SIMD variants map onto vector lanes. Output
   // values AND the final generator state are identical to n sequential
   // uniform_bits() calls -- the lanes only change evaluation order.
-  const std::size_t groups = n / 8;
+  const std::size_t groups = n / detail::kHighWordLanes;
   if (groups > 0) {
 #if RESLOC_X86_SIMD
     if (cpu_has_avx512_kernels()) {
-      state_ = fill_bits_groups_avx512(state_, inc_, out, groups);
+      state_ = detail::high_words_avx512(state_, inc_, out, groups);
     } else if (cpu_has_avx2_kernels()) {
-      state_ = fill_bits_groups_avx2(state_, inc_, out, groups);
+      state_ = detail::high_words_avx2(state_, inc_, out, groups);
     } else
 #endif
     {
-      state_ = fill_bits_groups(state_, inc_, out, groups);
+      state_ = detail::high_words_portable(state_, inc_, out, groups);
     }
-    out += groups * 8;
-    n -= groups * 8;
+    out += groups * detail::kHighWordLanes;
+    n -= groups * detail::kHighWordLanes;
   }
-  for (std::size_t i = 0; i < n; ++i) out[i] = uniform_bits();
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = next_u32();
+    state_ = state_ * kMultiplier + inc_;  // the draw's low word, never permuted
+  }
+}
+
+void Rng::advance(std::uint64_t steps) {
+  // Square-and-multiply over the affine LCG map (Brown, "Random number
+  // generation with arbitrary strides", 1994): O(log steps) multiplies.
+  std::uint64_t acc_mul = 1, acc_add = 0;
+  std::uint64_t cur_mul = kMultiplier, cur_add = inc_;
+  for (; steps > 0; steps >>= 1) {
+    if (steps & 1u) {
+      acc_mul *= cur_mul;
+      acc_add = acc_add * cur_mul + cur_add;
+    }
+    cur_add *= cur_mul + 1;
+    cur_mul *= cur_mul;
+  }
+  state_ = acc_mul * state_ + acc_add;
 }
 
 void Rng::fill_gaussian_block(double* out, std::size_t n) {

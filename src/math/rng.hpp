@@ -10,6 +10,7 @@
 // not guaranteed to produce identical streams across versions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,7 +36,8 @@ class Rng {
   ///     uniform() < p   <=>   uniform_bits() < bernoulli_threshold(p)
   /// for every double p. For p in (0, 1), p * 2^53 is exact (power-of-two
   /// scaling), so ceil(p * 2^53) splits the 53-bit lattice at exactly the
-  /// same point the double comparison does.
+  /// same point the double comparison does. A NaN p gives 0, since
+  /// uniform() < NaN never holds.
   static std::uint64_t bernoulli_threshold(double p);
 
   /// Uniform double in [0, 1).
@@ -56,13 +58,29 @@ class Rng {
   /// Exponential sample with the given rate parameter lambda.
   double exponential(double lambda);
 
-  /// Writes exactly the next `n` uniform_bits() draws to `out` and leaves the
-  /// generator in the same state n sequential calls would. Internally the raw
-  /// u32 sequence is split across 8 independent LCG lanes via the jump-by-8
-  /// affine map, so the 8 state multiplies per iteration have no dependency
-  /// chain between them -- the serial PCG recurrence is the block-DSP hot
-  /// path's floor, and this is how it is broken without changing one output.
-  void fill_uniform_bits_block(std::uint64_t* out, std::size_t n);
+  /// Writes the high 32-bit word of each of the next `n` uniform_bits()
+  /// draws to `out` and leaves the generator where n sequential draws would
+  /// (2n raw steps). A draw is uniform_bits() == (hi << 21) | (lo >> 11) for
+  /// its two raw outputs, so against any threshold t the high word alone
+  /// decides uniform_bits() < t unless hi == high_word_threshold(t); see
+  /// high_word_threshold. Internally 16 jump-ahead lanes carry only the even
+  /// raw states, so each draw costs one LCG step on the lane plus one output
+  /// permutation, and the lanes' multiplies have no dependency chain between
+  /// them.
+  void fill_high_words_block(std::uint32_t* out, std::size_t n);
+
+  /// The 32-bit cut of a bernoulli_threshold() value `t` against a draw's
+  /// high word hi: hi < cut implies uniform_bits() < t, hi > cut implies the
+  /// opposite, and hi == cut leaves the low word to decide. t >= 2^53 (p >= 1)
+  /// saturates to 0xFFFFFFFF, whose tie the full draw resolves as a fire.
+  static std::uint32_t high_word_threshold(std::uint64_t t) {
+    return t >= (std::uint64_t{1} << 53) ? 0xFFFFFFFFu : static_cast<std::uint32_t>(t >> 21);
+  }
+
+  /// Jumps the generator `steps` raw next_u32() outputs ahead in O(log steps)
+  /// (a draw of uniform_bits() is two steps). The Box-Muller cache is left
+  /// as it is.
+  void advance(std::uint64_t steps);
 
   /// Writes exactly the next `n` gaussian(0, 1) draws to `out`, including the
   /// Box-Muller cached-second-normal behaviour (a cached half pending before

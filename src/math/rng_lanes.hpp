@@ -1,0 +1,36 @@
+// Lane kernels behind math::Rng::fill_high_words_block, one per instruction
+// set. Rng dispatches between them at run time (math/simd_dispatch.hpp); the
+// declarations are here so tests can diff every variant the CPU supports
+// against the portable one directly. Not part of the library's interface.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "math/simd_dispatch.hpp"
+
+namespace resloc::math::detail {
+
+/// Draws each variant emits per group: 16 lanes, one high word per lane.
+inline constexpr std::size_t kHighWordLanes = 16;
+
+/// Writes the high words of the next `groups` * 16 uniform_bits() draws of
+/// the PCG32 generator (state, inc) -- the first raw output of each draw,
+/// pcg_output(s_2i) -- and returns the state 32 * groups raw steps later,
+/// which is where sequential draws would have left it. Lane r carries the
+/// even raw states 2r + 32g, so the odd (low-word) outputs are never
+/// permuted.
+std::uint64_t high_words_portable(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                                  std::size_t groups);
+
+#if RESLOC_X86_SIMD
+/// The same, two 8-lane AVX-512 vectors (needs cpu_has_avx512_kernels()).
+std::uint64_t high_words_avx512(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                                std::size_t groups);
+
+/// The same, four 4-lane AVX2 vectors (needs cpu_has_avx2_kernels()).
+std::uint64_t high_words_avx2(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                              std::size_t groups);
+#endif
+
+}  // namespace resloc::math::detail

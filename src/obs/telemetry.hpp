@@ -29,7 +29,8 @@
 // Cost model: everything is behind one global enable flag. Disabled, a span
 // is a single relaxed atomic load and branch (bench_obs_overhead gates the
 // end-to-end cost at < 2% of the survey-density campaign); enabled, a span
-// is two clock reads plus two thread-local array updates (< 10%, same gate).
+// is two clock reads plus two thread-local array updates (< 10%, same gate),
+// and a stage of a SpanChain one clock read.
 //
 // Thread model: recording is lock-free (each thread appends to its own
 // buffer; registration of a new thread takes the registry mutex once).
@@ -62,7 +63,7 @@ const ClockSource& clock_source();
 /// Current time on the active clock -- the span hot path. Equivalent to
 /// clock_source().now_ns() but skips the virtual dispatch when the active
 /// clock is the calibrated TSC default (the common enabled-mode case), which
-/// matters at two clock reads per span and ~34 spans per measure.
+/// matters at two clock reads per span and ~24 spans per measure.
 std::uint64_t now_ns();
 
 /// Injects a clock; nullptr restores the default steady clock. The pointee
@@ -179,6 +180,30 @@ class SpanScope {
   SpanId id_;
   std::uint64_t start_ns_ = 0;
   bool active_;
+};
+
+/// Back-to-back stages with one clock read per boundary instead of two per
+/// span: next(id) ends the open stage and starts `id` at the same instant,
+/// close() ends the open stage. Each stage is recorded exactly as a
+/// SpanScope of that id would be; only the clock reads are shared. For stage
+/// loops whose spans' own cost would otherwise dominate a fast stage (the
+/// per-chirp channel/accumulate pair of the hardware measure path). Inert
+/// when telemetry is disabled at construction.
+class SpanChain {
+ public:
+  SpanChain() : active_(enabled()) {}
+  ~SpanChain() { close(); }
+  SpanChain(const SpanChain&) = delete;
+  SpanChain& operator=(const SpanChain&) = delete;
+
+  void next(SpanId id);
+  void close();
+
+ private:
+  std::uint64_t start_ns_ = 0;
+  SpanId id_ = 0;
+  bool active_;
+  bool open_ = false;
 };
 
 // ---------------------------------------------------------------------------

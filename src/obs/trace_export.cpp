@@ -425,11 +425,16 @@ bool validate_chrome_trace(const std::string& json, std::string* error) {
     return fail("missing traceEvents array");
   }
 
+  // Interval edges in integer nanoseconds: ts and dur are written at
+  // nanosecond resolution, and adding them as doubles can round the end of a
+  // span past the start of a sibling that begins exactly where it ends.
   struct Interval {
-    double start = 0.0;
-    double end = 0.0;
+    long long start = 0;
+    long long end = 0;
   };
   std::map<double, std::vector<Interval>> by_tid;
+  // Bounded (~31 years) so the nanosecond conversion cannot overflow.
+  constexpr double kMaxUs = 1e15;
 
   for (std::size_t i = 0; i < events->array.size(); ++i) {
     const JsonValue& e = events->array[i];
@@ -447,15 +452,19 @@ bool validate_chrome_trace(const std::string& json, std::string* error) {
     if (ph == nullptr || ph->type != JsonValue::kString || ph->str != "X") {
       return fail(at + " is not a complete ('X') event");
     }
-    if (ts == nullptr || ts->type != JsonValue::kNumber || ts->number < 0.0) {
-      return fail(at + " has no non-negative ts");
+    if (ts == nullptr || ts->type != JsonValue::kNumber || !(ts->number >= 0.0) ||
+        !(ts->number <= kMaxUs)) {
+      return fail(at + " has no ts in [0, 1e15] us");
     }
-    if (dur == nullptr || dur->type != JsonValue::kNumber || dur->number < 0.0) {
-      return fail(at + " has no non-negative dur");
+    if (dur == nullptr || dur->type != JsonValue::kNumber || !(dur->number >= 0.0) ||
+        !(dur->number <= kMaxUs)) {
+      return fail(at + " has no dur in [0, 1e15] us");
     }
     if (pid == nullptr || pid->type != JsonValue::kNumber) return fail(at + " has no pid");
     if (tid == nullptr || tid->type != JsonValue::kNumber) return fail(at + " has no tid");
-    by_tid[tid->number].push_back(Interval{ts->number, ts->number + dur->number});
+    const long long start_ns = std::llround(ts->number * 1000.0);
+    const long long end_ns = start_ns + std::llround(dur->number * 1000.0);
+    by_tid[tid->number].push_back(Interval{start_ns, end_ns});
   }
 
   // Nesting check per thread: sorted by (start asc, end desc) -- parents

@@ -68,6 +68,41 @@ void require_positive_finite(double value, const char* field) {
   }
 }
 
+void require_finite(double value, const char* field) {
+  if (!std::isfinite(value)) reject(field, std::to_string(value), "must be finite");
+}
+
+void require_non_negative_finite(double value, const char* field, const char* why) {
+  if (!std::isfinite(value) || value < 0.0) {
+    reject(field, std::to_string(value), std::string("must be finite and >= 0; ") + why);
+  }
+}
+
+/// Every EnvironmentProfile number feeds the channel simulation or the
+/// detector model; the rates and durations drive Poisson loops in
+/// acoustics::receive_into that never end at an infinite rate.
+void validate_environment(const acoustics::EnvironmentProfile& env) {
+  require_finite(env.excess_attenuation_db_per_m, "environment.excess_attenuation_db_per_m");
+  require_finite(env.noise_floor_db, "environment.noise_floor_db");
+  if (!(env.false_positive_rate >= 0.0 && env.false_positive_rate <= 1.0)) {
+    reject("environment.false_positive_rate", std::to_string(env.false_positive_rate),
+           "is outside [0, 1]; it is a per-sample probability");
+  }
+  require_non_negative_finite(env.echo_rate, "environment.echo_rate",
+                              "it is the expected echo count per chirp");
+  if (!std::isfinite(env.echo_delay_mean_s) || env.echo_delay_mean_s <= 0.0) {
+    reject("environment.echo_delay_mean_s", std::to_string(env.echo_delay_mean_s),
+           "must be finite and > 0; it is the mean of an exponential delay");
+  }
+  require_finite(env.echo_attenuation_db, "environment.echo_attenuation_db");
+  require_finite(env.fixed_echo_lag_s, "environment.fixed_echo_lag_s");
+  require_finite(env.fixed_echo_attenuation_db, "environment.fixed_echo_attenuation_db");
+  require_non_negative_finite(env.noise_burst_rate_hz, "environment.noise_burst_rate_hz",
+                              "it is the rate of a Poisson burst process");
+  require_non_negative_finite(env.noise_burst_duration_s, "environment.noise_burst_duration_s",
+                              "it is a duration");
+}
+
 // Validation runs before any member initializer reads the config: the window
 // size is a float-to-integer cast that is undefined for a NaN or negative
 // range or chirp duration.
@@ -89,6 +124,10 @@ void validate_ranging_config(const RangingConfig& config) {
   }
   require_positive_finite(config.max_window_range_m, "max_window_range_m");
   require_positive_finite(config.pattern.chirp_duration_s, "pattern.chirp_duration_s");
+  require_finite(config.tdoa.delta_const_true_s, "tdoa.delta_const_true_s");
+  require_non_negative_finite(config.tdoa.sync_jitter_s, "tdoa.sync_jitter_s",
+                              "it is a standard deviation");
+  validate_environment(config.environment);
   const DetectionParams& detection = config.detection;
   if (detection.threshold < 1 || detection.threshold > SignalAccumulator::kMaxChirps) {
     reject("detection.threshold", std::to_string(detection.threshold),
@@ -152,7 +191,7 @@ RangingAttempt RangingService::measure(double true_distance_m,
   const acoustics::LinkResponse link_local =
       link != nullptr ? *link : acoustics::link_response(true_distance_m, config_.environment);
 
-  scratch.dsp.resize(window_samples_);
+  if (config_.detector_mode != DetectorMode::kHardware) scratch.dsp.resize(window_samples_);
   {
     // Zeroing the 4-bit counters is an O(window) accumulator pass.
     RESLOC_SPAN("ranging/detection/accumulate");
@@ -161,44 +200,45 @@ RangingAttempt RangingService::measure(double true_distance_m,
   // Accumulate the binary detector output over all chirps, each window
   // aligned by the radio sync of that chirp. Echoes from *earlier* chirps
   // fall into later windows naturally because every emission is visible to
-  // every window.
+  // every window. The per-chirp channel and accumulate stages are chained,
+  // one clock read per boundary: where rdtsc is slow (~23 ns on virtualized
+  // cores) two reads per span would cost ~5% of this loop with telemetry on.
+  static const obs::SpanId kChannelSpan = obs::intern_span("ranging/channel");
+  static const obs::SpanId kAccumulateSpan = obs::intern_span("ranging/detection/accumulate");
+  obs::SpanChain stages;
   for (const acoustics::Emission& emission : scratch.emissions) {
+    // The channel stage of one exchange: the receiver-side onset estimate
+    // (true start shifted by the calibration bias plus the per-exchange
+    // clock-sync jitter) and the window's link rasterization.
+    stages.next(kChannelSpan);
     obs::add(obs::Counter::kChirpWindows);
-    {
-      // The channel stage of one exchange: the receiver-side onset estimate
-      // (true start shifted by the calibration bias plus the per-exchange
-      // clock-sync jitter) and the window's link rasterization.
-      RESLOC_SPAN("ranging/channel");
-      const double sync_error_s =
-          calibration_bias_s + rng.gaussian(0.0, config_.tdoa.sync_jitter_s);
-      const double window_start_s = emission.start_s - sync_error_s;
-      acoustics::receive_into(scratch.received, scratch.emissions, window_start_s,
-                              window_duration_s, link_local, speaker, mic,
-                              config_.environment, config_.channel_jitter, rng);
-    }
+    const double sync_error_s =
+        calibration_bias_s + rng.gaussian(0.0, config_.tdoa.sync_jitter_s);
+    const double window_start_s = emission.start_s - sync_error_s;
+    acoustics::receive_into(scratch.received, scratch.emissions, window_start_s,
+                            window_duration_s, link_local, speaker, mic, config_.environment,
+                            config_.channel_jitter, rng);
     if (config_.detector_mode == DetectorMode::kHardware) {
-      // Deterministic threshold rasterization, then the fused draw +
-      // accumulate: one uniform per sample, fired = uniform < threshold.
-      {
-        RESLOC_SPAN("ranging/detection/probability");
-        detector_.fire_thresholds_block(scratch.received, window_samples_, mic,
-                                        scratch.detector, scratch.dsp.fire_threshold.data());
-      }
-      RESLOC_SPAN("ranging/detection/accumulate");
-      scratch.accumulator.record_chirp_bernoulli(rng, scratch.dsp.fire_threshold.data(),
-                                                 scratch.dsp.uniform_bits.data());
+      // Threshold runs (O(intervals), so no span of their own), then the
+      // fused draw + accumulate: one uniform per sample, fired = uniform <
+      // its run's threshold.
+      stages.next(kAccumulateSpan);
+      detector_.threshold_runs(scratch.received, window_samples_, mic, scratch.detector);
+      scratch.accumulator.record_chirp_runs(rng, scratch.detector.runs);
       continue;
     }
-    // The sampled-audio paths leave the binary series in scratch.dsp.fired;
-    // fold it into the 4-bit counters.
+    // The sampled-audio paths time their own stages and leave the binary
+    // series in scratch.dsp.fired; fold it into the 4-bit counters.
+    stages.close();
     if (config_.detector_mode == DetectorMode::kGoertzel) {
       goertzel_window(mic, rng, scratch);
     } else {
       ncc_window(mic, rng, scratch);
     }
-    RESLOC_SPAN("ranging/detection/accumulate");
+    stages.next(kAccumulateSpan);
     scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
   }
+  stages.close();
 
   // One resumable pass over the accumulated counters: the scanner keeps its
   // sliding window count across pattern-verification rejections, so the whole

@@ -114,6 +114,13 @@ struct RangingAttempt {
 ///   - `detection.threshold` outside [1, SignalAccumulator::kMaxChirps] (no
 ///     4-bit counter can reach it), `detection.window` < 1, or
 ///     `detection.min_detections` outside [1, detection.window];
+///   - a non-finite `tdoa.delta_const_true_s`, or a non-finite or negative
+///     `tdoa.sync_jitter_s`;
+///   - an `environment` with `false_positive_rate` outside [0, 1], a
+///     non-finite or negative `echo_rate`, `noise_burst_rate_hz` or
+///     `noise_burst_duration_s`, a non-finite or non-positive
+///     `echo_delay_mean_s`, or any other non-finite number (an infinite echo
+///     or burst rate would never finish drawing a window);
 ///   - a `detector_mode` that is not a known DetectorMode (an out-of-range
 ///     enum from a miswired cast or config merge must not silently fall back
 ///     to the hardware front end).
@@ -149,7 +156,7 @@ struct RangingScratch {
   std::vector<double> audio;
   std::optional<MatchedFilterNcc> ncc;
   acoustics::WaveformSynthesizer synth;
-  /// The contiguous kernel buffers (see dsp_scratch.hpp).
+  /// The sampled-audio kernel buffers (see dsp_scratch.hpp).
   acoustics::DspScratch dsp;
 };
 
@@ -162,11 +169,10 @@ class RangingService {
 
   /// Runs one full ranging sequence at the given true distance; the result's
   /// distance_m is the estimate (nullopt when no signal is detected). Each
-  /// chirp window runs as staged block kernels over `scratch.dsp` --
-  /// threshold rasterization + lane-split Bernoulli draws (hardware), or
-  /// envelope/noise/tone synthesis feeding a block Goertzel or NCC scan
-  /// (sampled-audio modes) -- and leaves the 4-bit counters in
-  /// `scratch.accumulator`.
+  /// chirp window runs as staged block kernels -- threshold runs +
+  /// lane-split Bernoulli draws (hardware), or envelope/noise/tone synthesis
+  /// over `scratch.dsp` feeding a block Goertzel or NCC scan (sampled-audio
+  /// modes) -- and leaves the 4-bit counters in `scratch.accumulator`.
   ///
   /// `link` optionally supplies the distance-dependent channel response
   /// precomputed (usually by a sim::ChannelResponseCache); it must equal

@@ -35,29 +35,34 @@ void accumulate_fired_avx512(std::uint8_t* s, const std::uint8_t* fired, std::si
   }
 }
 
-/// AVX-512 fused bernoulli-compare + counter update: eight u64 threshold
-/// compares assemble one 64-bit byte mask, then the same masked add.
+/// AVX-512 run compare + counter update: four 16-lane u32 compares against
+/// the broadcast cut assemble one 64-bit byte mask, then the same masked add.
+/// The tail is masked rather than scalar, since runs are often short.
+/// Returns whether any high word equals the cut.
 __attribute__((target("avx512f,avx512bw")))
-void accumulate_bernoulli_avx512(std::uint8_t* s, const std::uint64_t* bits,
-                                 const std::uint64_t* thresholds, std::size_t n) {
+bool accumulate_run_avx512(std::uint8_t* s, const std::uint32_t* hi, std::size_t n,
+                           std::uint32_t cut) {
   const __m512i one = _mm512_set1_epi8(1);
   const __m512i fifteen = _mm512_set1_epi8(15);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    std::uint64_t hit_bits = 0;
-    for (int k = 0; k < 8; ++k) {
-      const __mmask8 lt =
-          _mm512_cmplt_epu64_mask(_mm512_loadu_si512(bits + i + 8 * k),
-                                  _mm512_loadu_si512(thresholds + i + 8 * k));
-      hit_bits |= static_cast<std::uint64_t>(lt) << (8 * k);
+  const __m512i cutv = _mm512_set1_epi32(static_cast<int>(cut));
+  std::uint64_t ties = 0;
+  for (std::size_t i = 0; i < n; i += 64) {
+    const std::size_t left = n - i;
+    const __mmask64 live = left >= 64 ? ~__mmask64{0} : (__mmask64{1} << left) - 1;
+    std::uint64_t below = 0;
+    for (int k = 0; k < 4; ++k) {
+      const auto lanes = static_cast<__mmask16>(live >> (16 * k));
+      const __m512i h = _mm512_maskz_loadu_epi32(lanes, hi + i + 16 * k);
+      below |= static_cast<std::uint64_t>(_mm512_mask_cmplt_epu32_mask(lanes, h, cutv))
+               << (16 * k);
+      ties |= static_cast<std::uint64_t>(_mm512_mask_cmpeq_epu32_mask(lanes, h, cutv))
+              << (16 * k);
     }
-    const __m512i sv = _mm512_loadu_si512(s + i);
-    const __mmask64 hit = hit_bits & _mm512_cmplt_epu8_mask(sv, fifteen);
-    _mm512_storeu_si512(s + i, _mm512_mask_add_epi8(sv, hit, sv, one));
+    const __m512i sv = _mm512_maskz_loadu_epi8(live, s + i);
+    const __mmask64 hit = below & _mm512_cmplt_epu8_mask(sv, fifteen);
+    _mm512_mask_storeu_epi8(s + i, live, _mm512_mask_add_epi8(sv, hit, sv, one));
   }
-  for (; i < n; ++i) {
-    s[i] += static_cast<std::uint8_t>((bits[i] < thresholds[i]) & (s[i] < 15));
-  }
+  return ties != 0;
 }
 
 #endif  // RESLOC_X86_SIMD
@@ -76,26 +81,28 @@ void accumulate_fired(std::uint8_t* s, const std::uint8_t* fired, std::size_t n)
   }
 }
 
-/// Fused bernoulli-compare + saturating counter update.
-void accumulate_bernoulli(std::uint8_t* s, const std::uint64_t* bits,
-                          const std::uint64_t* thresholds, std::size_t n) {
+/// Saturating counter update for one threshold run: fired = hi < cut.
+/// Returns whether any high word equals the cut (the low word decides those).
+bool accumulate_run(std::uint8_t* s, const std::uint32_t* hi, std::size_t n, std::uint32_t cut) {
 #if RESLOC_X86_SIMD
-  if (resloc::math::cpu_has_avx512_kernels()) {
-    accumulate_bernoulli_avx512(s, bits, thresholds, n);
-    return;
-  }
+  if (resloc::math::cpu_has_avx512_kernels()) return accumulate_run_avx512(s, hi, n, cut);
 #endif
+  bool ties = false;
   for (std::size_t i = 0; i < n; ++i) {
-    s[i] += static_cast<std::uint8_t>((bits[i] < thresholds[i]) & (s[i] < 15));
+    s[i] += static_cast<std::uint8_t>((hi[i] < cut) & (s[i] < 15));
+    ties |= hi[i] == cut;
   }
+  return ties;
 }
 
 }  // namespace
 
-SignalAccumulator::SignalAccumulator(std::size_t num_samples) : samples_(num_samples, 0) {}
+SignalAccumulator::SignalAccumulator(std::size_t num_samples)
+    : samples_(num_samples, 0), high_words_(num_samples) {}
 
 void SignalAccumulator::reset(std::size_t num_samples) {
   samples_.assign(num_samples, 0);
+  high_words_.resize(num_samples);
   chirps_ = 0;
 }
 
@@ -106,16 +113,29 @@ void SignalAccumulator::record_chirp_block(const std::uint8_t* fired, std::size_
   accumulate_fired(samples_.data(), fired, n);
 }
 
-void SignalAccumulator::record_chirp_bernoulli(resloc::math::Rng& rng,
-                                               const std::uint64_t* thresholds,
-                                               std::uint64_t* bits_scratch) {
+void SignalAccumulator::record_chirp_runs(resloc::math::Rng& rng,
+                                          const std::vector<acoustics::ThresholdRun>& runs) {
   const std::size_t n = samples_.size();
+  const resloc::math::Rng start = rng;
   // One draw per sample whether or not the counters are full, so the stream
   // never depends on the cap.
-  rng.fill_uniform_bits_block(bits_scratch, n);
+  rng.fill_high_words_block(high_words_.data(), n);
   if (chirps_ >= kMaxChirps) return;
   ++chirps_;
-  accumulate_bernoulli(samples_.data(), bits_scratch, thresholds, n);
+  assert(n == 0 || (!runs.empty() && runs.front().first == 0));
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const std::size_t lo = runs[r].first;
+    const std::size_t hi = r + 1 < runs.size() ? runs[r + 1].first : n;
+    const std::uint64_t threshold = runs[r].threshold;
+    const std::uint32_t cut = resloc::math::Rng::high_word_threshold(threshold);
+    if (!accumulate_run(samples_.data() + lo, high_words_.data() + lo, hi - lo, cut)) continue;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (high_words_[i] != cut || samples_[i] >= 15) continue;
+      resloc::math::Rng draw = start;
+      draw.advance(2 * static_cast<std::uint64_t>(i));
+      if (draw.uniform_bits() < threshold) ++samples_[i];
+    }
+  }
 }
 
 int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {

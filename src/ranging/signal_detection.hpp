@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "acoustics/tone_detector.hpp"
 #include "math/rng.hpp"
 
 namespace resloc::ranging {
@@ -41,13 +42,16 @@ class SignalAccumulator {
   void record_chirp_block(const std::uint8_t* fired, std::size_t n);
 
   /// Fused Bernoulli-draw + accumulate for the hardware-detector path: draws
-  /// num_samples uniform 53-bit variates from `rng` (always, even once the
-  /// 4-bit counters are full, so the stream never depends on the cap) into
-  /// `bits_scratch`, then accumulates fired[i] = bits[i] < thresholds[i] --
-  /// per-sample rng.bernoulli(p_i), since bernoulli(p) is
-  /// uniform_bits() < bernoulli_threshold(p).
-  void record_chirp_bernoulli(resloc::math::Rng& rng, const std::uint64_t* thresholds,
-                              std::uint64_t* bits_scratch);
+  /// one uniform per sample from `rng` (always, even once the 4-bit counters
+  /// are full, so the stream never depends on the cap) and counts sample i of
+  /// run r as fired iff uniform_bits() < runs[r].threshold -- per-sample
+  /// rng.bernoulli(p_i), since bernoulli(p) is uniform_bits() <
+  /// bernoulli_threshold(p). `runs` must start at sample 0 and ascend (see
+  /// ToneDetectorModel::threshold_runs). Only each draw's high word is
+  /// generated in bulk; a draw whose high word ties its run's
+  /// Rng::high_word_threshold (about 2^-32 per sample) is replayed in full
+  /// from a jump-ahead copy of the generator.
+  void record_chirp_runs(resloc::math::Rng& rng, const std::vector<acoustics::ThresholdRun>& runs);
 
   /// Zeroes the counters (and resizes to `num_samples`) so one accumulator
   /// can be reused across a campaign's pairs without reallocating.
@@ -64,6 +68,7 @@ class SignalAccumulator {
 
  private:
   std::vector<std::uint8_t> samples_;
+  std::vector<std::uint32_t> high_words_;  ///< one chirp's draws, high words only
   int chirps_ = 0;
 };
 

@@ -20,16 +20,15 @@ namespace {
 using namespace resloc::acoustics;
 using resloc::math::Rng;
 
-/// One chirp window through the production detector kernels: per-sample
-/// firing thresholds, then one Bernoulli draw per sample folded into a fresh
+/// One chirp window through the production detector kernels: firing
+/// threshold runs, then one Bernoulli draw per sample folded into a fresh
 /// 4-bit accumulator, so every counter is 0 or 1. Returns how many fired.
 std::size_t detector_hits(const ToneDetectorModel& detector, const ReceivedWindow& window,
                           std::size_t n, const MicUnit& mic, Rng& rng) {
   DetectorScratch scratch;
-  std::vector<std::uint64_t> thresholds(n), bits(n);
-  detector.fire_thresholds_block(window, n, mic, scratch, thresholds.data());
+  detector.threshold_runs(window, n, mic, scratch);
   resloc::ranging::SignalAccumulator accumulator(n);
-  accumulator.record_chirp_bernoulli(rng, thresholds.data(), bits.data());
+  accumulator.record_chirp_runs(rng, scratch.runs);
   const std::vector<std::uint8_t>& counters = accumulator.samples();
   return static_cast<std::size_t>(std::count(counters.begin(), counters.end(), 1));
 }

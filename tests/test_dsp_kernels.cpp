@@ -9,6 +9,7 @@
 // front ends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "acoustics/tone_detector.hpp"
 #include "acoustics/units.hpp"
 #include "math/rng.hpp"
+#include "math/rng_lanes.hpp"
 #include "ranging/dft_detector.hpp"
 #include "ranging/matched_filter.hpp"
 #include "ranging/ranging_service.hpp"
@@ -34,21 +36,55 @@ namespace acoustics = resloc::acoustics;
 namespace ranging = resloc::ranging;
 namespace reference = resloc::reference;
 
-// Sizes chosen to cross the 4-draw quad stride of fill_uniform_bits_block and
+// Sizes chosen to cross the 16-lane stride of fill_high_words_block and
 // the Goertzel 256-step resync period, plus odd/partial-tail cases.
 const std::size_t kBlockSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 36, 100, 255, 256, 257, 1163};
 
-TEST(RngBlocks, UniformBitsBlockMatchesSequential) {
+TEST(RngBlocks, HighWordsBlockMatchesSequential) {
   for (std::size_t n : kBlockSizes) {
     Rng a(0x1234u + n, 7);
     Rng b(0x1234u + n, 7);
-    std::vector<std::uint64_t> block(n, 0);
-    a.fill_uniform_bits_block(block.data(), n);
+    std::vector<std::uint32_t> block(n, 0);
+    a.fill_high_words_block(block.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(block[i], b.uniform_bits()) << "n=" << n << " i=" << i;
+      Rng hi = b;
+      ASSERT_EQ(block[i], hi.next_u32()) << "n=" << n << " i=" << i;
+      ASSERT_EQ(block[i], b.uniform_bits() >> 21) << "n=" << n << " i=" << i;
     }
     // Post-call state: the next draws must agree too.
     for (int i = 0; i < 8; ++i) ASSERT_EQ(a.uniform_bits(), b.uniform_bits());
+  }
+}
+
+TEST(RngBlocks, HighWordLaneVariantsMatchPortable) {
+  namespace detail = resloc::math::detail;
+  for (std::size_t groups : {0u, 1u, 2u, 3u, 17u, 73u}) {
+    for (std::uint64_t state : {0x0ULL, 0x853c49e6748fea9bULL, ~0ULL}) {
+      const std::uint64_t inc = (groups << 1u) | 1u;
+      std::vector<std::uint32_t> portable(groups * detail::kHighWordLanes);
+      const std::uint64_t end = detail::high_words_portable(state, inc, portable.data(), groups);
+#if RESLOC_X86_SIMD
+      std::vector<std::uint32_t> simd(portable.size());
+      if (resloc::math::cpu_has_avx512_kernels()) {
+        EXPECT_EQ(detail::high_words_avx512(state, inc, simd.data(), groups), end);
+        EXPECT_EQ(simd, portable) << "avx512 groups=" << groups;
+      }
+      if (resloc::math::cpu_has_avx2_kernels()) {
+        EXPECT_EQ(detail::high_words_avx2(state, inc, simd.data(), groups), end);
+        EXPECT_EQ(simd, portable) << "avx2 groups=" << groups;
+      }
+#endif
+    }
+  }
+}
+
+TEST(RngBlocks, AdvanceMatchesSequentialSteps) {
+  for (std::uint64_t steps : {0ULL, 1ULL, 2ULL, 3ULL, 31ULL, 32ULL, 1000ULL, 123457ULL}) {
+    Rng a(99, 13);
+    Rng b(99, 13);
+    a.advance(steps);
+    for (std::uint64_t i = 0; i < steps; ++i) b.next_u32();
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(a.next_u32(), b.next_u32()) << "steps=" << steps;
   }
 }
 
@@ -76,8 +112,9 @@ TEST(RngBlocks, GaussianBlockMatchesSequentialIncludingCachedHalf) {
 }
 
 TEST(RngBlocks, BernoulliThresholdSplitsExactlyLikeUniformCompare) {
-  const double probs[] = {0.0, 1e-300, 1e-17, 0.003, 0.15, 0.5,
-                          0.78342, 1.0 - 1e-16, 1.0, 1.5, -0.2};
+  const double probs[] = {0.0, 1e-300, 1e-17, 0.003, 0.15, 0.5, 0.78342,
+                          1.0 - 1e-16, 1.0, 1.5, -0.2, std::nan("")};
+  EXPECT_EQ(Rng::bernoulli_threshold(std::nan("")), 0u);
   for (double p : probs) {
     const std::uint64_t t = Rng::bernoulli_threshold(p);
     Rng a(42, 9);
@@ -148,11 +185,12 @@ acoustics::ReceivedWindow synthetic_window(Rng& rng, double window_start_s, std:
   return w;
 }
 
-TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
+TEST(HardwareBlock, ThresholdRunsPlusBernoulliMatchSampleWindow) {
   const acoustics::EnvironmentProfile env = acoustics::EnvironmentProfile::grass();
   const acoustics::ToneDetectorModel detector(env);
   const double dt = detector.sample_period_s();
   Rng gen(0xFEED, 5);
+  acoustics::DetectorScratch blk_scratch;  // reused across trials, like production
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t n = static_cast<std::size_t>(gen.uniform_int(1, 700));
     acoustics::MicUnit mic;
@@ -169,16 +207,70 @@ TEST(HardwareBlock, ThresholdsPlusBernoulliMatchSampleWindow) {
     reference::PerSampleAccumulator ref_acc(n);
     ref_acc.record_chirp(ref_scratch.fired);
 
-    // Block: thresholds + fused draw/accumulate.
+    // Block: threshold runs + fused draw/accumulate.
     Rng blk_rng(1000 + trial, 11);
-    acoustics::DetectorScratch blk_scratch;
-    std::vector<std::uint64_t> thresholds(n), bits(n);
-    detector.fire_thresholds_block(w, n, mic, blk_scratch, thresholds.data());
+    detector.threshold_runs(w, n, mic, blk_scratch);
+    const std::vector<acoustics::ThresholdRun>& runs = blk_scratch.runs;
+    ASSERT_FALSE(runs.empty());
+    EXPECT_EQ(runs.front().first, 0u);
+    EXPECT_LE(runs.size(), 2 * (w.signals.size() + w.bursts.size()) + 1);
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      EXPECT_LT(runs[r - 1].first, runs[r].first) << "trial=" << trial;
+      EXPECT_LT(runs[r].first, n) << "trial=" << trial;
+      EXPECT_NE(runs[r - 1].threshold, runs[r].threshold) << "trial=" << trial;
+    }
     ranging::SignalAccumulator blk_acc(n);
-    blk_acc.record_chirp_bernoulli(blk_rng, thresholds.data(), bits.data());
+    blk_acc.record_chirp_runs(blk_rng, runs);
 
     ASSERT_EQ(blk_acc.samples(), ref_acc.samples()) << "trial=" << trial;
     ASSERT_EQ(blk_rng.uniform_bits(), ref_rng.uniform_bits()) << "trial=" << trial;
+  }
+}
+
+TEST(HardwareBlock, HighWordTiesResolveExactly) {
+  // Runs built from the draws themselves: a length-1 run at threshold bits_i
+  // ties its draw's high word and must not fire, one at bits_i + 1 must.
+  // Between them sit p = 0 and p = 1 runs and random-threshold runs whose
+  // edges fall off the 16-lane stride, some longer than one 64-sample block.
+  const std::size_t n = 301;
+  const std::uint64_t kAlways = Rng::bernoulli_threshold(1.0);
+  EXPECT_EQ(Rng::high_word_threshold(kAlways), 0xFFFFFFFFu);
+  EXPECT_EQ(Rng::high_word_threshold(kAlways - 1), 0xFFFFFFFFu);
+  Rng gen(0xC0FFEE, 3);
+  Rng rng(77, 21);
+  std::vector<std::uint8_t> expect(n, 0);
+  ranging::SignalAccumulator acc(n);
+  for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps + 2; ++chirp) {
+    Rng peek = rng;
+    std::vector<std::uint64_t> bits(n);
+    for (std::uint64_t& b : bits) b = peek.uniform_bits();
+    std::vector<acoustics::ThresholdRun> runs;
+    std::size_t ties = 0;
+    for (std::size_t i = 0; i < n;) {
+      const int kind = static_cast<int>(gen.uniform_int(0, 4));
+      std::size_t len = static_cast<std::size_t>(gen.uniform_int(1, 90));
+      std::uint64_t threshold = 0;
+      switch (kind) {
+        case 0: len = 1; threshold = bits[i]; ++ties; break;      // tie, no fire
+        case 1: len = 1; threshold = bits[i] + 1; ++ties; break;  // tie, fire
+        case 2: threshold = 0; break;                             // p = 0
+        case 3: threshold = kAlways; break;                       // p = 1
+        default: threshold = Rng::bernoulli_threshold(gen.uniform()); break;
+      }
+      len = std::min(len, n - i);
+      runs.push_back({i, threshold});
+      for (std::size_t j = i; j < i + len; ++j) {
+        if (chirp < ranging::SignalAccumulator::kMaxChirps && bits[j] < threshold &&
+            expect[j] < 15) {
+          ++expect[j];
+        }
+      }
+      i += len;
+    }
+    ASSERT_GT(ties, 0u);
+    acc.record_chirp_runs(rng, runs);
+    ASSERT_EQ(acc.samples(), expect) << "chirp=" << chirp;
+    ASSERT_EQ(rng.uniform_bits(), peek.uniform_bits()) << "chirp=" << chirp;
   }
 }
 
@@ -186,12 +278,11 @@ TEST(HardwareBlock, BernoulliDrawsEvenWhenCountersFull) {
   // The per-sample reference consumes RNG for every chirp past kMaxChirps;
   // the fused block accumulate must too, or streams desynchronize at chirp 16.
   const std::size_t n = 37;
-  std::vector<std::uint64_t> thresholds(n, Rng::bernoulli_threshold(0.5));
-  std::vector<std::uint64_t> bits(n);
+  const std::vector<acoustics::ThresholdRun> runs = {{0, Rng::bernoulli_threshold(0.5)}};
   Rng a(5, 1), b(5, 1);
   ranging::SignalAccumulator acc(n);
   for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps + 4; ++chirp) {
-    acc.record_chirp_bernoulli(a, thresholds.data(), bits.data());
+    acc.record_chirp_runs(a, runs);
   }
   for (int chirp = 0; chirp < ranging::SignalAccumulator::kMaxChirps + 4; ++chirp) {
     for (std::size_t i = 0; i < n; ++i) b.uniform_bits();

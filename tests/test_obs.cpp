@@ -111,7 +111,7 @@ TEST_F(ObsTest, MeasureEmitsExactlyTheArchitectureSpanTree) {
     return a;
   };
   const std::map<DetectorMode, std::map<std::string, std::uint64_t>> expected = {
-      {DetectorMode::kHardware, merged(common, {{"ranging/detection/probability", kChirps}})},
+      {DetectorMode::kHardware, common},
       {DetectorMode::kGoertzel,
        merged(merged(common, sampled_audio), {{"ranging/detection/goertzel", kChirps}})},
       {DetectorMode::kMatchedFilter,
@@ -182,6 +182,40 @@ TEST_F(ObsTest, ManualClockYieldsExactDurations) {
   EXPECT_EQ(mine->events[0].end_ns, 300u);
   EXPECT_EQ(mine->events[1].start_ns, 100u);
   EXPECT_EQ(mine->events[1].end_ns, 400u);
+}
+
+TEST_F(ObsTest, SpanChainSharesOneClockReadPerBoundary) {
+  const ManualClock clock(/*step_ns=*/100);
+  obs::set_clock_source(&clock);
+  obs::set_enabled(true);
+  obs::set_capture_spans(true);
+  const obs::SpanId a = obs::intern_span("test/chain_a");
+  const obs::SpanId b = obs::intern_span("test/chain_b");
+  {
+    obs::SpanChain chain;
+    chain.next(a);  // t=100
+    chain.next(b);  // t=200: a ends, b starts
+    chain.close();  // t=300
+    chain.close();  // nothing open: no clock read, no record
+    chain.next(a);  // t=400
+  }                 // t=500: the destructor closes a
+
+  const obs::TelemetrySnapshot snap = obs::snapshot();
+  EXPECT_EQ(snap.stage_count("test/chain_a"), 2u);
+  EXPECT_EQ(snap.stage_count("test/chain_b"), 1u);
+  EXPECT_EQ(snap.stage_total_ns("test/chain_a"), 200u);
+  EXPECT_EQ(snap.stage_total_ns("test/chain_b"), 100u);
+  std::string error;
+  EXPECT_TRUE(obs::validate_chrome_trace(obs::to_chrome_trace_json(snap), &error)) << error;
+
+  // Disabled at construction: inert.
+  obs::reset();
+  obs::set_enabled(false);
+  {
+    obs::SpanChain chain;
+    chain.next(a);
+  }
+  EXPECT_EQ(obs::snapshot().stage_count("test/chain_a"), 0u);
 }
 
 TEST_F(ObsTest, CountersAddOnlyWhenEnabled) {
@@ -298,6 +332,24 @@ TEST_F(ObsTest, ValidatorRejectsMalformedTraces) {
       R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 1, "ts": 5, "dur": 10}]})",
       &error))
       << error;
+  // Siblings that touch at nanosecond resolution nest, although 1.0 + 0.253
+  // rounds past 1.253 in double arithmetic; a 1 ns overlap does not.
+  EXPECT_TRUE(obs::validate_chrome_trace(
+      R"({"traceEvents": [)"
+      R"({"name": "p", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 10},)"
+      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.0, "dur": 0.253},)"
+      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.253, "dur": 1}]})",
+      &error))
+      << error;
+  EXPECT_FALSE(obs::validate_chrome_trace(
+      R"({"traceEvents": [)"
+      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.0, "dur": 0.254},)"
+      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.253, "dur": 1}]})",
+      &error));
+  // Timestamps too large to convert to nanoseconds are rejected.
+  EXPECT_FALSE(obs::validate_chrome_trace(
+      R"({"traceEvents": [{"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1e300, "dur": 1}]})",
+      &error));
 }
 
 TEST_F(ObsTest, SpanCapDropsLoudly) {

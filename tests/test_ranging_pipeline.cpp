@@ -3,12 +3,16 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "acoustics/environment.hpp"
 #include "math/stats.hpp"
 #include "ranging/memory_model.hpp"
 #include "ranging/ranging_service.hpp"
 #include "ranging/statistical_filter.hpp"
 #include "ranging/tdoa.hpp"
+#include "sim/scenario_registry.hpp"
 #include "sim/scenarios.hpp"
 
 namespace {
@@ -279,6 +283,109 @@ TEST(RangingService, AcceptsEveryDetectionSettingInUse) {
         << " k=" << detection.min_detections;
   }
   EXPECT_NO_THROW(validate_ranging_config(resloc::sim::urban_refined_ranging()));
+}
+
+const double kNonFinite[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+const double kNegativeOrNonFinite[] = {-1e-9, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL};
+
+TEST(RangingService, RejectsNonFiniteDeltaConst) {
+  for (const double delta : kNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.tdoa.delta_const_true_s = delta;
+    expect_rejected(config, "tdoa.delta_const_true_s", std::to_string(delta));
+  }
+}
+
+TEST(RangingService, RejectsNegativeOrNonFiniteSyncJitter) {
+  for (const double jitter : kNegativeOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.tdoa.sync_jitter_s = jitter;
+    expect_rejected(config, "tdoa.sync_jitter_s", std::to_string(jitter));
+  }
+}
+
+TEST(RangingService, RejectsFalsePositiveRateOutsideTheUnitInterval) {
+  for (const double rate : {-0.01, 1.01, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.environment.false_positive_rate = rate;
+    expect_rejected(config, "environment.false_positive_rate", std::to_string(rate));
+  }
+  for (const double rate : {0.0, 1.0}) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.environment.false_positive_rate = rate;
+    EXPECT_NO_THROW(validate_ranging_config(config)) << rate;
+  }
+}
+
+TEST(RangingService, RejectsNegativeOrNonFiniteEchoRate) {
+  for (const double rate : kNegativeOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.environment.echo_rate = rate;
+    expect_rejected(config, "environment.echo_rate", std::to_string(rate));
+  }
+}
+
+TEST(RangingService, RejectsNegativeOrNonFiniteNoiseBurstRate) {
+  for (const double rate : kNegativeOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.environment.noise_burst_rate_hz = rate;
+    expect_rejected(config, "environment.noise_burst_rate_hz", std::to_string(rate));
+  }
+}
+
+TEST(RangingService, RejectsNegativeOrNonFiniteNoiseBurstDuration) {
+  for (const double duration : kNegativeOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.environment.noise_burst_duration_s = duration;
+    expect_rejected(config, "environment.noise_burst_duration_s", std::to_string(duration));
+  }
+}
+
+TEST(RangingService, RejectsNonPositiveOrNonFiniteEchoDelayMean) {
+  for (const double delay : kNonPositiveOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.environment.echo_delay_mean_s = delay;
+    expect_rejected(config, "environment.echo_delay_mean_s", std::to_string(delay));
+  }
+}
+
+TEST(RangingService, RejectsOtherNonFiniteEnvironmentNumbers) {
+  using resloc::acoustics::EnvironmentProfile;
+  const std::pair<const char*, double EnvironmentProfile::*> fields[] = {
+      {"excess_attenuation_db_per_m", &EnvironmentProfile::excess_attenuation_db_per_m},
+      {"noise_floor_db", &EnvironmentProfile::noise_floor_db},
+      {"echo_attenuation_db", &EnvironmentProfile::echo_attenuation_db},
+      {"fixed_echo_lag_s", &EnvironmentProfile::fixed_echo_lag_s},
+      {"fixed_echo_attenuation_db", &EnvironmentProfile::fixed_echo_attenuation_db},
+  };
+  for (const auto& [name, field] : fields) {
+    for (const double value : kNonFinite) {
+      RangingConfig config = resloc::sim::grass_refined_ranging();
+      config.environment.*field = value;
+      expect_rejected(config, std::string("environment.") + name, std::to_string(value));
+    }
+  }
+}
+
+TEST(RangingService, AcceptsEveryBuiltInEnvironment) {
+  // The environments the sweeps and scenarios resolve to, under the ranging
+  // configurations the campaigns start from.
+  std::vector<std::string> names = resloc::acoustics::environment_names();
+  for (const std::string& scenario : resloc::sim::scenario_names()) {
+    const std::string env = resloc::sim::scenario_environment(scenario);
+    if (!env.empty()) names.push_back(env);
+  }
+  for (const RangingConfig& base :
+       {resloc::sim::grass_refined_ranging(), resloc::sim::urban_refined_ranging(),
+        resloc::sim::urban_baseline_ranging(), resloc::sim::grass_campaign_config().ranging,
+        resloc::sim::urban_baseline_campaign_config().ranging}) {
+    EXPECT_NO_THROW(validate_ranging_config(base));
+    for (const std::string& name : names) {
+      RangingConfig config = base;
+      config.environment = resloc::acoustics::environment_by_name(name);
+      EXPECT_NO_THROW(validate_ranging_config(config)) << name;
+    }
+  }
 }
 
 TEST(RangingService, DiagnosticsExposeDetectionIndex) {

@@ -193,6 +193,20 @@ TEST(Resilience, DetectionThresholdPastCounterCapIsAConfigStageFailure) {
   EXPECT_NE(result.trials[0].error.find("RangingConfig.detection.threshold"), std::string::npos);
 }
 
+TEST(Resilience, InfiniteInterferenceIsAConfigStageFailure) {
+  // An infinite echo rate would never finish drawing a chirp window; the
+  // trial must fail at config time instead of hanging in measurement.
+  SweepSpec spec = acoustic_fault_sweep();
+  spec.axes.interference_scales = {HUGE_VAL};
+  const CampaignResult result = CampaignRunner(RunnerOptions{1}).run(spec);
+  ASSERT_EQ(result.trials.size(), 1u);
+  EXPECT_FALSE(result.trials[0].ok);
+  EXPECT_EQ(result.trials[0].failure, FailureReason::kConfig);
+  EXPECT_NE(result.trials[0].error.find("RangingConfig.environment.echo_rate"),
+            std::string::npos)
+      << result.trials[0].error;
+}
+
 TEST(Resilience, NonStdExceptionsAreIsolatedAndClassified) {
   // The catch-all tier: a scenario builder that throws a plain int must fail
   // its own trial with the dedicated classification, not the campaign.
