@@ -87,7 +87,10 @@ LinkResponse link_response(double distance_m, const EnvironmentProfile& env);
 
 /// Builds the received window for one receiver at `distance_m` from the
 /// source. `emissions` must include every chirp whose direct signal or echo
-/// can fall inside the window (i.e. also the previous chirp).
+/// can fall inside the window (i.e. also the previous chirp). A jitter or
+/// echo value that cannot reach the window is skipped (Rng::skip_gaussian,
+/// skip_exponential), which leaves the generator exactly where drawing it
+/// would.
 ReceivedWindow receive(const std::vector<Emission>& emissions, double window_start_s,
                        double window_duration_s, double distance_m, const SpeakerUnit& speaker,
                        const MicUnit& mic, const EnvironmentProfile& env,

@@ -1,7 +1,9 @@
 #include "math/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include "math/constants.hpp"
 #include "math/rng_lanes.hpp"
 #include "math/simd_dispatch.hpp"
@@ -19,7 +21,6 @@
 namespace resloc::math {
 
 namespace {
-constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
 
 /// PCG32 XSH-RR output permutation of a raw LCG state.
 inline std::uint32_t pcg_output(std::uint64_t state) {
@@ -27,6 +28,11 @@ inline std::uint32_t pcg_output(std::uint64_t state) {
   const auto rot = static_cast<std::uint32_t>(state >> 59u);
   return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
 }
+
+/// Box-Muller's radius and angle, shared by the eager pair and the pending
+/// half skip_gaussian() leaves, so a deferred value is the same double.
+inline double box_muller_radius(double u1) { return std::sqrt(-2.0 * std::log(u1)); }
+inline double box_muller_angle(double u2) { return 2.0 * resloc::math::kPi * u2; }
 
 // SplitMix64 finalizer (Steele et al., 2014): a strong 64 -> 64 bit mixer
 // whose outputs for consecutive inputs are statistically independent, which
@@ -38,31 +44,28 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// 16-lane jump-ahead seed block shared by every high_words variant: lane r
-/// starts at the state of raw u32 index 2r (the high word of draw r), and
-/// (jump_mul, jump_add) advance any lane by 32 raw steps. Jump constants by
-/// doubling: if s' = A s + C jumps L steps, then A^2 s + (A + 1) C jumps 2L;
-/// five doublings give jump-by-32.
-struct LaneSetup {
-  std::uint64_t s[detail::kHighWordLanes];
-  std::uint64_t jump_mul;
-  std::uint64_t jump_add;
+/// Lane r of every high_words variant starts at raw index 2r (the high word
+/// of draw r): its state is mul[r] * state + add_per_inc[r] * inc (see
+/// Rng::Jump), so the lanes are seeded with independent multiplies instead
+/// of a serial chain, from constants fixed at compile time for any stream.
+struct LaneJumps {
+  std::uint64_t mul[detail::kHighWordLanes];
+  std::uint64_t add_per_inc[detail::kHighWordLanes];
 };
 
-LaneSetup lane_setup(std::uint64_t state, std::uint64_t inc) {
-  LaneSetup ls;
-  ls.s[0] = state;
-  for (std::size_t r = 1; r < detail::kHighWordLanes; ++r) {
-    ls.s[r] = (ls.s[r - 1] * kMultiplier + inc) * kMultiplier + inc;
+constexpr LaneJumps make_lane_jumps() {
+  LaneJumps t{};
+  for (std::size_t r = 0; r < detail::kHighWordLanes; ++r) {
+    const Rng::Jump j = Rng::jump(2 * r);
+    t.mul[r] = j.mul;
+    t.add_per_inc[r] = j.add_per_inc;
   }
-  ls.jump_mul = kMultiplier;
-  ls.jump_add = inc;
-  for (int d = 0; d < 5; ++d) {
-    ls.jump_add *= ls.jump_mul + 1;
-    ls.jump_mul *= ls.jump_mul;
-  }
-  return ls;
+  return t;
 }
+
+constexpr LaneJumps kLaneJumps = make_lane_jumps();
+/// Advances any lane by one group: 2 * kHighWordLanes raw steps.
+constexpr Rng::Jump kGroupJump = Rng::jump(2 * detail::kHighWordLanes);
 
 #if RESLOC_X86_SIMD
 /// 64 x 64 -> low 64 multiply from 32-bit partial products (AVX2 has no
@@ -81,90 +84,129 @@ inline __m256i mullo64_avx2(__m256i a, __m256i b) {
 namespace detail {
 
 std::uint64_t high_words_portable(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
-                                  std::size_t groups) {
-  LaneSetup ls = lane_setup(state, inc);
-  for (std::size_t g = 0; g < groups; ++g) {
+                                  std::size_t n) {
+  std::uint64_t s[kHighWordLanes];
+  for (std::size_t r = 0; r < kHighWordLanes; ++r) {
+    s[r] = kLaneJumps.mul[r] * state + kLaneJumps.add_per_inc[r] * inc;
+  }
+  const std::uint64_t jump_add = kGroupJump.add_per_inc * inc;
+  std::size_t i = 0;
+  for (; i + kHighWordLanes <= n; i += kHighWordLanes) {
     for (std::size_t r = 0; r < kHighWordLanes; ++r) {
-      out[kHighWordLanes * g + r] = pcg_output(ls.s[r]);
-      ls.s[r] = ls.s[r] * ls.jump_mul + ls.jump_add;
+      out[i + r] = pcg_output(s[r]);
+      s[r] = s[r] * kGroupJump.mul + jump_add;
     }
   }
-  return ls.s[0];  // lane 0 holds raw index 32 * groups = the sequential state
+  const std::size_t tail = n - i;
+  for (std::size_t r = 0; r < tail; ++r) out[i + r] = pcg_output(s[r]);
+  return s[tail];  // lane `tail` sits at raw index 2n
 }
 
 #if RESLOC_X86_SIMD
 
-/// XSH-RR maps directly onto AVX-512: 64-bit lane multiply (vpmullq),
-/// truncating narrow (vpmovqd), and the per-lane 32-bit variable rotate is a
-/// single vprorvd.
+/// XSH-RR of eight lane states: 64-bit shifts, a truncating narrow
+/// (vpmovqd), and the per-lane 32-bit variable rotate as one vprorvd.
 __attribute__((target("avx512f,avx512dq,avx512vl")))
-std::uint64_t high_words_avx512(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
-                                std::size_t groups) {
-  const LaneSetup ls = lane_setup(state, inc);
-  __m512i s0 = _mm512_loadu_si512(ls.s);
-  __m512i s1 = _mm512_loadu_si512(ls.s + 8);
-  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(ls.jump_mul));
-  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(ls.jump_add));
-  for (std::size_t g = 0; g < groups; ++g) {
-    const __m512i x0 =
-        _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s0, 18), s0), 27);
-    const __m512i x1 =
-        _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s1, 18), s1), 27);
-    const __m256i o0 = _mm256_rorv_epi32(_mm512_cvtepi64_epi32(x0),
-                                         _mm512_cvtepi64_epi32(_mm512_srli_epi64(s0, 59)));
-    const __m256i o1 = _mm256_rorv_epi32(_mm512_cvtepi64_epi32(x1),
-                                         _mm512_cvtepi64_epi32(_mm512_srli_epi64(s1, 59)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g), o0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g + 8), o1);
-    s0 = _mm512_add_epi64(_mm512_mullo_epi64(s0, jm), ja);
-    s1 = _mm512_add_epi64(_mm512_mullo_epi64(s1, jm), ja);
-  }
-  std::uint64_t tail[8];
-  _mm512_storeu_si512(tail, s0);
-  return tail[0];
+inline __m256i pcg_output_avx512(__m512i s) {
+  const __m512i x = _mm512_srli_epi64(_mm512_xor_si512(_mm512_srli_epi64(s, 18), s), 27);
+  return _mm256_rorv_epi32(_mm512_cvtepi64_epi32(x),
+                           _mm512_cvtepi64_epi32(_mm512_srli_epi64(s, 59)));
 }
 
-/// Lanes grouped even/odd (v0 = lanes {0,2,4,6}, v1 = {1,3,5,7}, v2/v3 the
-/// same for lanes 8..15), so one 32-bit shift-or of a vector pair lays eight
+/// Eight 8-lane vectors: eight independent vpmullq chains per group, enough
+/// to cover the multiply's latency (about 15 cycles), so the loop runs at the
+/// vector ports' throughput instead of waiting on two chains. The tail group
+/// is a masked store.
+__attribute__((target("avx512f,avx512dq,avx512vl")))
+std::uint64_t high_words_avx512(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                                std::size_t n) {
+  constexpr std::size_t kVecs = kHighWordLanes / 8;
+  const __m512i st = _mm512_set1_epi64(static_cast<long long>(state));
+  const __m512i in = _mm512_set1_epi64(static_cast<long long>(inc));
+  __m512i s[kVecs];
+  for (std::size_t k = 0; k < kVecs; ++k) {
+    s[k] = _mm512_add_epi64(
+        _mm512_mullo_epi64(st, _mm512_loadu_si512(kLaneJumps.mul + 8 * k)),
+        _mm512_mullo_epi64(in, _mm512_loadu_si512(kLaneJumps.add_per_inc + 8 * k)));
+  }
+  const __m512i jm = _mm512_set1_epi64(static_cast<long long>(kGroupJump.mul));
+  const __m512i ja = _mm512_set1_epi64(static_cast<long long>(kGroupJump.add_per_inc * inc));
+  std::size_t i = 0;
+  for (; i + kHighWordLanes <= n; i += kHighWordLanes) {
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 8 * k), pcg_output_avx512(s[k]));
+      s[k] = _mm512_add_epi64(_mm512_mullo_epi64(s[k], jm), ja);
+    }
+  }
+  const std::size_t tail = n - i;
+  for (std::size_t k = 0; 8 * k < tail; ++k) {
+    const std::size_t live = std::min<std::size_t>(tail - 8 * k, 8);
+    _mm256_mask_storeu_epi32(out + i + 8 * k, static_cast<__mmask8>((1u << live) - 1),
+                             pcg_output_avx512(s[k]));
+  }
+  alignas(64) std::uint64_t lane[8];
+  _mm512_store_si512(lane, s[tail / 8]);
+  return lane[tail % 8];  // lane `tail` sits at raw index 2n
+}
+
+/// XSH-RR of eight lane states held even/odd (`even` = lanes {0,2,4,6} of
+/// the block, `odd` = {1,3,5,7}), so one 32-bit shift-or lays the eight
 /// outputs out in lane order. The 32-bit rotate runs in the 64-bit lanes
 /// with variable shifts; the rotated value still fits 32 bits.
 __attribute__((target("avx2")))
-std::uint64_t high_words_avx2(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
-                              std::size_t groups) {
-  const LaneSetup ls = lane_setup(state, inc);
-  alignas(32) std::uint64_t lanes[kHighWordLanes];
-  for (std::size_t r = 0; r < kHighWordLanes; ++r) {
-    lanes[8 * (r / 8) + 4 * (r % 2) + (r % 8) / 2] = ls.s[r];
-  }
-  __m256i v[4];
-  for (int k = 0; k < 4; ++k) {
-    v[k] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes + 4 * k));
-  }
-  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(ls.jump_mul));
-  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(ls.jump_add));
+inline __m256i pcg_output_avx2(__m256i even, __m256i odd) {
   const __m256i mask32 = _mm256_set1_epi64x(0xffffffffLL);
   const __m256i c32 = _mm256_set1_epi64x(32);
   const __m256i c31 = _mm256_set1_epi64x(31);
-  for (std::size_t g = 0; g < groups; ++g) {
-    __m256i o[4];
-    for (int k = 0; k < 4; ++k) {
-      const __m256i s = v[k];
-      const __m256i x = _mm256_and_si256(
-          _mm256_srli_epi64(_mm256_xor_si256(_mm256_srli_epi64(s, 18), s), 27), mask32);
-      const __m256i rot = _mm256_srli_epi64(s, 59);
-      const __m256i left_count = _mm256_and_si256(_mm256_sub_epi64(c32, rot), c31);
-      o[k] = _mm256_or_si256(
-          _mm256_srlv_epi64(x, rot),
-          _mm256_and_si256(_mm256_sllv_epi64(x, left_count), mask32));
-      v[k] = _mm256_add_epi64(mullo64_avx2(s, jm), ja);
-    }
-    const __m256i p0 = _mm256_or_si256(o[0], _mm256_slli_epi64(o[1], 32));
-    const __m256i p1 = _mm256_or_si256(o[2], _mm256_slli_epi64(o[3], 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g), p0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + kHighWordLanes * g + 8), p1);
+  __m256i o[2];
+  const __m256i v[2] = {even, odd};
+  for (int k = 0; k < 2; ++k) {
+    const __m256i x = _mm256_and_si256(
+        _mm256_srli_epi64(_mm256_xor_si256(_mm256_srli_epi64(v[k], 18), v[k]), 27), mask32);
+    const __m256i rot = _mm256_srli_epi64(v[k], 59);
+    const __m256i left_count = _mm256_and_si256(_mm256_sub_epi64(c32, rot), c31);
+    o[k] = _mm256_or_si256(_mm256_srlv_epi64(x, rot),
+                           _mm256_and_si256(_mm256_sllv_epi64(x, left_count), mask32));
   }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v[0]);
-  return lanes[0];  // v0 lane 0 = raw index 32 * groups = the sequential state
+  return _mm256_or_si256(o[0], _mm256_slli_epi64(o[1], 32));
+}
+
+/// Sixteen 4-lane vectors, each 8-lane block as an even/odd vector pair
+/// (see pcg_output_avx2). The tail block goes through a stack buffer.
+__attribute__((target("avx2")))
+std::uint64_t high_words_avx2(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
+                              std::size_t n) {
+  constexpr std::size_t kVecs = kHighWordLanes / 4;
+  const auto slot = [](std::size_t r) { return 8 * (r / 8) + 4 * (r % 2) + (r % 8) / 2; };
+  alignas(32) std::uint64_t lanes[kHighWordLanes];
+  for (std::size_t r = 0; r < kHighWordLanes; ++r) {
+    lanes[slot(r)] = kLaneJumps.mul[r] * state + kLaneJumps.add_per_inc[r] * inc;
+  }
+  __m256i v[kVecs];
+  for (std::size_t k = 0; k < kVecs; ++k) {
+    v[k] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes + 4 * k));
+  }
+  const __m256i jm = _mm256_set1_epi64x(static_cast<long long>(kGroupJump.mul));
+  const __m256i ja = _mm256_set1_epi64x(static_cast<long long>(kGroupJump.add_per_inc * inc));
+  std::size_t i = 0;
+  for (; i + kHighWordLanes <= n; i += kHighWordLanes) {
+    for (std::size_t b = 0; b < kVecs / 2; ++b) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 8 * b),
+                          pcg_output_avx2(v[2 * b], v[2 * b + 1]));
+      v[2 * b] = _mm256_add_epi64(mullo64_avx2(v[2 * b], jm), ja);
+      v[2 * b + 1] = _mm256_add_epi64(mullo64_avx2(v[2 * b + 1], jm), ja);
+    }
+  }
+  const std::size_t tail = n - i;
+  for (std::size_t b = 0; 8 * b < tail; ++b) {
+    alignas(32) std::uint32_t block[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(block), pcg_output_avx2(v[2 * b], v[2 * b + 1]));
+    std::memcpy(out + i + 8 * b, block, std::min<std::size_t>(tail - 8 * b, 8) * sizeof(block[0]));
+  }
+  for (std::size_t k = 0; k < kVecs; ++k) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4 * k), v[k]);
+  }
+  return lanes[slot(tail)];  // lane `tail` sits at raw index 2n
 }
 
 #endif  // RESLOC_X86_SIMD
@@ -204,45 +246,22 @@ double Rng::uniform() {
 }
 
 void Rng::fill_high_words_block(std::uint32_t* out, std::size_t n) {
-  // 16 jump-ahead lanes restructure the serial multiply chain into
-  // independent streams the SIMD variants map onto vector lanes. Output
-  // values AND the final generator state are identical to n sequential
-  // uniform_bits() calls -- the lanes only change evaluation order.
-  const std::size_t groups = n / detail::kHighWordLanes;
-  if (groups > 0) {
+  // Jump-ahead lanes restructure the serial multiply chain into independent
+  // streams the SIMD variants map onto vector lanes. Output values AND the
+  // final generator state are identical to n sequential uniform_bits()
+  // calls -- the lanes only change evaluation order.
+  if (n == 0) return;
 #if RESLOC_X86_SIMD
-    if (cpu_has_avx512_kernels()) {
-      state_ = detail::high_words_avx512(state_, inc_, out, groups);
-    } else if (cpu_has_avx2_kernels()) {
-      state_ = detail::high_words_avx2(state_, inc_, out, groups);
-    } else
+  if (cpu_has_avx512_kernels()) {
+    state_ = detail::high_words_avx512(state_, inc_, out, n);
+    return;
+  }
+  if (cpu_has_avx2_kernels()) {
+    state_ = detail::high_words_avx2(state_, inc_, out, n);
+    return;
+  }
 #endif
-    {
-      state_ = detail::high_words_portable(state_, inc_, out, groups);
-    }
-    out += groups * detail::kHighWordLanes;
-    n -= groups * detail::kHighWordLanes;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = next_u32();
-    state_ = state_ * kMultiplier + inc_;  // the draw's low word, never permuted
-  }
-}
-
-void Rng::advance(std::uint64_t steps) {
-  // Square-and-multiply over the affine LCG map (Brown, "Random number
-  // generation with arbitrary strides", 1994): O(log steps) multiplies.
-  std::uint64_t acc_mul = 1, acc_add = 0;
-  std::uint64_t cur_mul = kMultiplier, cur_add = inc_;
-  for (; steps > 0; steps >>= 1) {
-    if (steps & 1u) {
-      acc_mul *= cur_mul;
-      acc_add = acc_add * cur_mul + cur_add;
-    }
-    cur_add *= cur_mul + 1;
-    cur_mul *= cur_mul;
-  }
-  state_ = acc_mul * state_ + acc_add;
+  state_ = detail::high_words_portable(state_, inc_, out, n);
 }
 
 void Rng::fill_gaussian_block(double* out, std::size_t n) {
@@ -272,8 +291,12 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
+  if (cached_ != Cached::kNone) {
+    if (cached_ == Cached::kPending) {
+      cached_gaussian_ =
+          box_muller_radius(cached_gaussian_) * std::sin(box_muller_angle(pending_u2_));
+    }
+    cached_ = Cached::kNone;
     return mean + stddev * cached_gaussian_;
   }
   // Box-Muller: two uniforms -> two independent standard normals.
@@ -282,11 +305,25 @@ double Rng::gaussian(double mean, double stddev) {
     u1 = uniform();
   } while (u1 <= 0.0);
   const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * resloc::math::kPi * u2;
+  const double r = box_muller_radius(u1);
+  const double theta = box_muller_angle(u2);
   cached_gaussian_ = r * std::sin(theta);
-  has_cached_gaussian_ = true;
+  cached_ = Cached::kValue;
   return mean + stddev * r * std::cos(theta);
+}
+
+void Rng::skip_gaussian() {
+  if (cached_ != Cached::kNone) {
+    cached_ = Cached::kNone;
+    return;
+  }
+  double u1;
+  do {
+    u1 = uniform();
+  } while (u1 <= 0.0);
+  cached_gaussian_ = u1;
+  pending_u2_ = uniform();
+  cached_ = Cached::kPending;
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
@@ -298,6 +335,11 @@ double Rng::exponential(double lambda) {
     u = uniform();
   } while (u <= 0.0);
   return -std::log(u) / lambda;
+}
+
+void Rng::skip_exponential() {
+  while (uniform_bits() == 0) {  // uniform() <= 0.0 exactly when the bits are 0
+  }
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {

@@ -58,15 +58,26 @@ class Rng {
   /// Exponential sample with the given rate parameter lambda.
   double exponential(double lambda);
 
+  /// Advances the stream exactly as gaussian() would -- the same u1 <= 0
+  /// rejection loop and the same Box-Muller pair bookkeeping -- without
+  /// computing the value. A pending cached half is consumed; otherwise the
+  /// new pair's second half stays pending as its (u1, u2) and is computed,
+  /// with the same expression gaussian() uses, only if a later gaussian()
+  /// reads it. For draws whose value cannot matter to the caller.
+  void skip_gaussian();
+
+  /// Advances the stream exactly as exponential() would, without the log.
+  void skip_exponential();
+
   /// Writes the high 32-bit word of each of the next `n` uniform_bits()
   /// draws to `out` and leaves the generator where n sequential draws would
   /// (2n raw steps). A draw is uniform_bits() == (hi << 21) | (lo >> 11) for
   /// its two raw outputs, so against any threshold t the high word alone
   /// decides uniform_bits() < t unless hi == high_word_threshold(t); see
-  /// high_word_threshold. Internally 16 jump-ahead lanes carry only the even
+  /// high_word_threshold. Internally 64 jump-ahead lanes carry only the even
   /// raw states, so each draw costs one LCG step on the lane plus one output
-  /// permutation, and the lanes' multiplies have no dependency chain between
-  /// them.
+  /// permutation, and the lanes' multiplies form enough independent chains
+  /// to keep the multiplier busy instead of waiting on its latency.
   void fill_high_words_block(std::uint32_t* out, std::size_t n);
 
   /// The 32-bit cut of a bernoulli_threshold() value `t` against a draw's
@@ -77,10 +88,37 @@ class Rng {
     return t >= (std::uint64_t{1} << 53) ? 0xFFFFFFFFu : static_cast<std::uint32_t>(t >> 21);
   }
 
-  /// Jumps the generator `steps` raw next_u32() outputs ahead in O(log steps)
-  /// (a draw of uniform_bits() is two steps). The Box-Muller cache is left
-  /// as it is.
-  void advance(std::uint64_t steps);
+  /// The affine map of a number of raw steps, state -> mul * state +
+  /// add_per_inc * inc. It depends on the step count alone, not on the seed
+  /// or stream, so one Jump serves any generator, any number of times.
+  struct Jump {
+    std::uint64_t mul = 1;
+    std::uint64_t add_per_inc = 0;
+  };
+
+  /// The Jump of `steps` raw next_u32() steps, in O(log steps):
+  /// square-and-multiply over the affine map (Brown, "Random number
+  /// generation with arbitrary strides", 1994).
+  static constexpr Jump jump(std::uint64_t steps) {
+    Jump acc;
+    Jump cur{kMultiplier, 1};
+    for (; steps > 0; steps >>= 1) {
+      if (steps & 1u) {
+        acc.mul *= cur.mul;
+        acc.add_per_inc = acc.add_per_inc * cur.mul + cur.add_per_inc;
+      }
+      cur.add_per_inc *= cur.mul + 1;
+      cur.mul *= cur.mul;
+    }
+    return acc;
+  }
+
+  /// Jumps the generator over `j`'s raw steps (a draw of uniform_bits() is
+  /// two). The Box-Muller cache (value or pending half) is left as it is.
+  void advance(const Jump& j) { state_ = j.mul * state_ + j.add_per_inc * inc_; }
+
+  /// advance(jump(steps)).
+  void advance(std::uint64_t steps) { advance(jump(steps)); }
 
   /// Writes exactly the next `n` gaussian(0, 1) draws to `out`, including the
   /// Box-Muller cached-second-normal behaviour (a cached half pending before
@@ -117,10 +155,18 @@ class Rng {
   Rng fork(std::uint64_t stream_index) const;
 
  private:
+  /// PCG32's LCG multiplier: each raw step is state -> state * kMultiplier + inc.
+  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+
+  /// The Box-Muller pair's second half: none, its value, or -- after
+  /// skip_gaussian() -- the pair's uniforms, not yet transformed.
+  enum class Cached : std::uint8_t { kNone, kValue, kPending };
+
   std::uint64_t state_;
   std::uint64_t inc_;
-  bool has_cached_gaussian_ = false;
-  double cached_gaussian_ = 0.0;
+  Cached cached_ = Cached::kNone;
+  double cached_gaussian_ = 0.0;  ///< kValue: the normal; kPending: u1
+  double pending_u2_ = 0.0;       ///< kPending: u2
 };
 
 }  // namespace resloc::math

@@ -11,26 +11,27 @@
 
 namespace resloc::math::detail {
 
-/// Draws each variant emits per group: 16 lanes, one high word per lane.
-inline constexpr std::size_t kHighWordLanes = 16;
+/// Lanes of every variant: one high word per lane per group, so a group is
+/// 64 draws and each lane steps 128 raw states per group.
+inline constexpr std::size_t kHighWordLanes = 64;
 
-/// Writes the high words of the next `groups` * 16 uniform_bits() draws of
-/// the PCG32 generator (state, inc) -- the first raw output of each draw,
-/// pcg_output(s_2i) -- and returns the state 32 * groups raw steps later,
-/// which is where sequential draws would have left it. Lane r carries the
-/// even raw states 2r + 32g, so the odd (low-word) outputs are never
-/// permuted.
+/// Writes the high words of the next `n` uniform_bits() draws of the PCG32
+/// generator (state, inc) -- the first raw output of each draw,
+/// pcg_output(s_2i) -- and returns the state 2n raw steps later, which is
+/// where sequential draws would have left it. Lane r carries the even raw
+/// states 2r + 128g, so the odd (low-word) outputs are never permuted; a
+/// partial last group writes only its first n % 64 lanes.
 std::uint64_t high_words_portable(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
-                                  std::size_t groups);
+                                  std::size_t n);
 
 #if RESLOC_X86_SIMD
-/// The same, two 8-lane AVX-512 vectors (needs cpu_has_avx512_kernels()).
+/// The same, eight 8-lane AVX-512 vectors (needs cpu_has_avx512_kernels()).
 std::uint64_t high_words_avx512(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
-                                std::size_t groups);
+                                std::size_t n);
 
-/// The same, four 4-lane AVX2 vectors (needs cpu_has_avx2_kernels()).
+/// The same, sixteen 4-lane AVX2 vectors (needs cpu_has_avx2_kernels()).
 std::uint64_t high_words_avx2(std::uint64_t state, std::uint64_t inc, std::uint32_t* out,
-                              std::size_t groups);
+                              std::size_t n);
 #endif
 
 }  // namespace resloc::math::detail

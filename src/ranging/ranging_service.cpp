@@ -124,6 +124,12 @@ void validate_ranging_config(const RangingConfig& config) {
   }
   require_positive_finite(config.max_window_range_m, "max_window_range_m");
   require_positive_finite(config.pattern.chirp_duration_s, "pattern.chirp_duration_s");
+  if (!std::isfinite(config.pattern.tone_frequency_hz) || config.pattern.tone_frequency_hz <= 0.0) {
+    reject("pattern.tone_frequency_hz", std::to_string(config.pattern.tone_frequency_hz),
+           "must be finite and > 0; it is the chirp's tone");
+  }
+  require_non_negative_finite(config.channel_jitter.actuation_jitter_s,
+                              "channel_jitter.actuation_jitter_s", "it is a standard deviation");
   require_finite(config.tdoa.delta_const_true_s, "tdoa.delta_const_true_s");
   require_non_negative_finite(config.tdoa.sync_jitter_s, "tdoa.sync_jitter_s",
                               "it is a standard deviation");
@@ -154,6 +160,7 @@ RangingService::RangingService(RangingConfig config)
     : config_(validated(std::move(config))),
       window_samples_(window_samples_for_range(config_.max_window_range_m,
                                                config_.pattern.chirp_duration_s)),
+      chirp_draws_(resloc::math::Rng::jump(2 * static_cast<std::uint64_t>(window_samples_))),
       detector_(config_.environment) {}
 
 RangingAttempt RangingService::measure(double true_distance_m,
@@ -163,22 +170,28 @@ RangingAttempt RangingService::measure(double true_distance_m,
                                        const acoustics::LinkResponse* link) const {
   // The sub-stage spans attribute the per-pair acoustic-physics budget (the
   // wall ROADMAP item 1 targets) to named stages, so a regression lands on a
-  // stage instead of "measure got slower".
+  // stage instead of "measure got slower". The stages are chained, one clock
+  // read per boundary: where rdtsc is slow (~23 ns on virtualized cores) two
+  // reads per span would cost several percent of a measure with telemetry
+  // on. The sampled-audio front ends break the chain around their own spans.
   RESLOC_SPAN("ranging/measure");
+  static const obs::SpanId kScheduleSpan = obs::intern_span("ranging/synthesis/schedule");
+  static const obs::SpanId kChannelSpan = obs::intern_span("ranging/channel");
+  static const obs::SpanId kAccumulateSpan = obs::intern_span("ranging/detection/accumulate");
+  static const obs::SpanId kScanSpan = obs::intern_span("ranging/detection/scan");
+  obs::SpanChain stages;
   obs::add(obs::Counter::kMeasureCalls);
   RangingAttempt attempt;
 
   acoustics::ChirpPattern pattern = config_.pattern;
   if (config_.baseline) pattern.num_chirps = 1;
 
-  {
-    RESLOC_SPAN("ranging/synthesis/schedule");
-    acoustics::chirp_start_times_into(pattern, rng, scratch.starts);
-    scratch.emissions.clear();
-    scratch.emissions.reserve(scratch.starts.size());
-    for (double s : scratch.starts) {
-      scratch.emissions.push_back({s, pattern.chirp_duration_s});
-    }
+  stages.next(kScheduleSpan);
+  acoustics::chirp_start_times_into(pattern, rng, scratch.starts);
+  scratch.emissions.clear();
+  scratch.emissions.reserve(scratch.starts.size());
+  for (double s : scratch.starts) {
+    scratch.emissions.push_back({s, pattern.chirp_duration_s});
   }
 
   const double window_duration_s =
@@ -191,75 +204,86 @@ RangingAttempt RangingService::measure(double true_distance_m,
   const acoustics::LinkResponse link_local =
       link != nullptr ? *link : acoustics::link_response(true_distance_m, config_.environment);
 
-  if (config_.detector_mode != DetectorMode::kHardware) scratch.dsp.resize(window_samples_);
-  {
-    // Zeroing the 4-bit counters is an O(window) accumulator pass.
-    RESLOC_SPAN("ranging/detection/accumulate");
-    scratch.accumulator.reset(window_samples_);
-  }
-  // Accumulate the binary detector output over all chirps, each window
-  // aligned by the radio sync of that chirp. Echoes from *earlier* chirps
+  // The channel stage of one exchange: the receiver-side onset estimate
+  // (true start shifted by the calibration bias plus the per-exchange
+  // clock-sync jitter) and the window's link rasterization. Each window is
+  // aligned by the radio sync of its chirp; echoes from *earlier* chirps
   // fall into later windows naturally because every emission is visible to
-  // every window. The per-chirp channel and accumulate stages are chained,
-  // one clock read per boundary: where rdtsc is slow (~23 ns on virtualized
-  // cores) two reads per span would cost ~5% of this loop with telemetry on.
-  static const obs::SpanId kChannelSpan = obs::intern_span("ranging/channel");
-  static const obs::SpanId kAccumulateSpan = obs::intern_span("ranging/detection/accumulate");
-  obs::SpanChain stages;
-  for (const acoustics::Emission& emission : scratch.emissions) {
-    // The channel stage of one exchange: the receiver-side onset estimate
-    // (true start shifted by the calibration bias plus the per-exchange
-    // clock-sync jitter) and the window's link rasterization.
-    stages.next(kChannelSpan);
+  // every window.
+  const std::size_t chirps = scratch.emissions.size();
+  scratch.windows.resize(chirps);
+  const auto receive = [&](std::size_t k) -> const acoustics::ReceivedWindow& {
     obs::add(obs::Counter::kChirpWindows);
     const double sync_error_s =
         calibration_bias_s + rng.gaussian(0.0, config_.tdoa.sync_jitter_s);
-    const double window_start_s = emission.start_s - sync_error_s;
-    acoustics::receive_into(scratch.received, scratch.emissions, window_start_s,
-                            window_duration_s, link_local, speaker, mic, config_.environment,
+    acoustics::receive_into(scratch.windows[k], scratch.emissions,
+                            scratch.emissions[k].start_s - sync_error_s, window_duration_s,
+                            link_local, speaker, mic, config_.environment,
                             config_.channel_jitter, rng);
-    if (config_.detector_mode == DetectorMode::kHardware) {
-      // Threshold runs (O(intervals), so no span of their own), then the
-      // fused draw + accumulate: one uniform per sample, fired = uniform <
-      // its run's threshold.
-      stages.next(kAccumulateSpan);
-      detector_.threshold_runs(scratch.received, window_samples_, mic, scratch.detector);
-      scratch.accumulator.record_chirp_runs(rng, scratch.detector.runs);
-      continue;
+    return scratch.windows[k];
+  };
+
+  if (config_.detector_mode == DetectorMode::kHardware) {
+    // Every chirp window's detector draws are exactly 2n raw steps (one
+    // uniform per sample, drawn even once the counters are full), so the
+    // channel pass receives all windows, keeping the generator each window's
+    // draws start from and jumping the stream over them; the accumulate pass
+    // then draws each window from its kept generator. Draw for draw this is
+    // the per-chirp interleaving, with two spans per measure instead of two
+    // per chirp.
+    stages.next(kChannelSpan);
+    scratch.chirp_rngs.resize(chirps);
+    for (std::size_t k = 0; k < chirps; ++k) {
+      receive(k);
+      scratch.chirp_rngs[k] = rng;
+      rng.advance(chirp_draws_);
     }
-    // The sampled-audio paths time their own stages and leave the binary
-    // series in scratch.dsp.fired; fold it into the 4-bit counters.
-    stages.close();
-    if (config_.detector_mode == DetectorMode::kGoertzel) {
-      goertzel_window(mic, rng, scratch);
-    } else {
-      ncc_window(mic, rng, scratch);
-    }
+    // Threshold runs (O(intervals)), then the fused draw + accumulate: one
+    // uniform per sample, fired = uniform < its run's threshold.
     stages.next(kAccumulateSpan);
-    scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
+    scratch.accumulator.reset(window_samples_);
+    for (std::size_t k = 0; k < chirps; ++k) {
+      detector_.threshold_runs(scratch.windows[k], window_samples_, mic, scratch.detector);
+      scratch.accumulator.record_chirp_runs(scratch.chirp_rngs[k], scratch.detector.runs);
+    }
+  } else {
+    // The sampled-audio paths draw a data-dependent number of normals per
+    // window, so they run chirp by chirp, time their own stages and leave
+    // the binary series in scratch.dsp.fired to fold into the counters.
+    scratch.dsp.resize(window_samples_);
+    stages.next(kAccumulateSpan);
+    scratch.accumulator.reset(window_samples_);
+    for (std::size_t k = 0; k < chirps; ++k) {
+      stages.next(kChannelSpan);
+      const acoustics::ReceivedWindow& window = receive(k);
+      stages.close();
+      if (config_.detector_mode == DetectorMode::kGoertzel) {
+        goertzel_window(window, mic, rng, scratch);
+      } else {
+        ncc_window(window, mic, rng, scratch);
+      }
+      stages.next(kAccumulateSpan);
+      scratch.accumulator.record_chirp_block(scratch.dsp.fired.data(), window_samples_);
+    }
+  }
+
+  // One pass over the accumulated counters: the scanner's qualifying-sample
+  // mask serves the whole rejection loop, candidates and silence checks
+  // alike, instead of restarting a sliding count after every rejected
+  // candidate.
+  stages.next(kScanSpan);
+  const DetectionParams detection = config_.baseline ? kBaselineDetection : config_.detection;
+  SignalScanner& scanner = scratch.scanner;
+  scanner.reset(scratch.accumulator.samples(), detection);
+  int index = scanner.next();
+  if (!config_.baseline && config_.verify_pattern) {
+    while (index >= 0 &&
+           !scanner.verify_preceding_silence(index, kSilenceGapSamples, kSilenceMaxNoisy)) {
+      ++attempt.rejected_detections;
+      index = scanner.next();
+    }
   }
   stages.close();
-
-  // One resumable pass over the accumulated counters: the scanner keeps its
-  // sliding window count across pattern-verification rejections, so the whole
-  // rejection loop is O(n) instead of restarting detect_signal after every
-  // rejected candidate (O(window * rejections)).
-  const DetectionParams detection = config_.baseline ? kBaselineDetection : config_.detection;
-  const std::vector<std::uint8_t>& samples = scratch.accumulator.samples();
-  int index;
-  {
-    RESLOC_SPAN("ranging/detection/scan");
-    SignalScanner scanner(samples, detection);
-    index = scanner.next();
-    if (!config_.baseline && config_.verify_pattern) {
-      while (index >= 0 &&
-             !verify_preceding_silence(samples, index, kSilenceGapSamples,
-                                       detection.threshold, kSilenceMaxNoisy)) {
-        ++attempt.rejected_detections;
-        index = scanner.next();
-      }
-    }
-  }
 
   if (index >= 0) {
     attempt.detection_index = index;
@@ -293,7 +317,8 @@ void RangingService::prepare_goertzel(RangingScratch& scratch) const {
   }
 }
 
-void RangingService::goertzel_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+void RangingService::goertzel_window(const acoustics::ReceivedWindow& window,
+                                     const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                                      RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   prepare_goertzel(scratch);
@@ -307,7 +332,7 @@ void RangingService::goertzel_window(const acoustics::MicUnit& mic, resloc::math
   // within the actuation-jitter budget.
   {
     RESLOC_SPAN("ranging/synthesis/envelope");
-    rasterize_window_envelope(mic, scratch);
+    rasterize_window_envelope(window, mic, scratch);
   }
   {
     RESLOC_SPAN("ranging/synthesis/noise");
@@ -332,7 +357,8 @@ void RangingService::goertzel_window(const acoustics::MicUnit& mic, resloc::math
   std::fill(fired + live, fired + n, std::uint8_t{0});
 }
 
-void RangingService::ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
+void RangingService::ncc_window(const acoustics::ReceivedWindow& window,
+                                const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                                 RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   const double fs = acoustics::kSampleRateHz;
@@ -340,7 +366,7 @@ void RangingService::ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng
 
   {
     RESLOC_SPAN("ranging/synthesis/envelope");
-    rasterize_window_envelope(mic, scratch);
+    rasterize_window_envelope(window, mic, scratch);
   }
 
   const acoustics::ToneTemplateView tpl = scratch.synth.tone_template_view(fs, frequency_hz, n);
@@ -370,14 +396,14 @@ void RangingService::ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng
   }
 }
 
-void RangingService::rasterize_window_envelope(const acoustics::MicUnit& mic,
+void RangingService::rasterize_window_envelope(const acoustics::ReceivedWindow& window,
+                                               const acoustics::MicUnit& mic,
                                                RangingScratch& scratch) const {
   // Rasterize the audible intervals into a per-sample tone envelope (and the
   // bursts into a noise-floor flag) via the same exact contiguous spans the
   // hardware model uses, so all paths share one interval->sample convention.
   const std::size_t n = window_samples_;
   const double dt = 1.0 / acoustics::kSampleRateHz;
-  const acoustics::ReceivedWindow& window = scratch.received;
   scratch.amplitude.assign(n, mic.faulty ? kFaultyMicLeakAmplitude : 0.0);
   for (const acoustics::SignalInterval& s : window.signals) {
     const double amp = amplitude_from_snr_db(s.snr_db);

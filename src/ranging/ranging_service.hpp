@@ -110,7 +110,10 @@ struct RangingAttempt {
 ///     (chirps past the 4-bit counter cap would be paid for but never
 ///     recorded);
 ///   - a non-finite or non-positive `max_window_range_m` or
-///     `pattern.chirp_duration_s` (they size the sample window);
+///     `pattern.chirp_duration_s` (they size the sample window), or
+///     `pattern.tone_frequency_hz`;
+///   - a non-finite or negative `channel_jitter.actuation_jitter_s` (a NaN
+///     would drop every direct path);
 ///   - `detection.threshold` outside [1, SignalAccumulator::kMaxChirps] (no
 ///     4-bit counter can reach it), `detection.window` < 1, or
 ///     `detection.min_detections` outside [1, detection.window];
@@ -128,17 +131,24 @@ void validate_ranging_config(const RangingConfig& config);
 
 /// Reusable working buffers for measure(). A campaign loop keeps one per
 /// worker thread and passes it to every pair, so the per-sequence vectors
-/// (emission schedule, received window, kernel buffers, 4-bit counters) are
+/// (emission schedule, received windows, kernel buffers, 4-bit counters) are
 /// allocated once instead of once per pair -- the same buffer reuse the mote
 /// firmware's fixed RAM layout implies (Section 3.6.2).
 struct RangingScratch {
   std::vector<double> starts;
   std::vector<acoustics::Emission> emissions;
-  acoustics::ReceivedWindow received;
+  /// One received window per chirp.
+  std::vector<acoustics::ReceivedWindow> windows;
+  /// Hardware mode: the generator each chirp window's detector draws start
+  /// from (see RangingService::measure).
+  std::vector<resloc::math::Rng> chirp_rngs;
   acoustics::DetectorScratch detector;
   /// The 4-bit counters of the last measure(); read them here for
   /// diagnostics (the measure path never copies them out).
   SignalAccumulator accumulator{0};
+  /// detect-signal over those counters; its qualifying-sample mask buffer is
+  /// reused across pairs.
+  SignalScanner scanner;
   /// Sampled-audio modes: per-sample tone amplitudes. Goertzel mode: the
   /// cached tone table sin(2*pi*f*i/fs) and the Goertzel detector itself.
   /// The table and detector are keyed by the tone frequency they were built
@@ -170,9 +180,12 @@ class RangingService {
   /// Runs one full ranging sequence at the given true distance; the result's
   /// distance_m is the estimate (nullopt when no signal is detected). Each
   /// chirp window runs as staged block kernels -- threshold runs +
-  /// lane-split Bernoulli draws (hardware), or envelope/noise/tone synthesis
+  /// lane-split Bernoulli draws (hardware, in a channel pass over all
+  /// windows and then an accumulate pass), or envelope/noise/tone synthesis
   /// over `scratch.dsp` feeding a block Goertzel or NCC scan (sampled-audio
-  /// modes) -- and leaves the 4-bit counters in `scratch.accumulator`.
+  /// modes, chirp by chirp) -- and leaves the 4-bit counters in
+  /// `scratch.accumulator`. The RNG stream is consumed exactly as one chirp
+  /// after another would.
   ///
   /// `link` optionally supplies the distance-dependent channel response
   /// precomputed (usually by a sim::ChannelResponseCache); it must equal
@@ -193,13 +206,13 @@ class RangingService {
   /// Section 3.7 path: envelope -> noise -> tone-mix -> Goertzel blocks over
   /// scratch.dsp, the group-delay-compensated binary series into
   /// scratch.dsp.fired.
-  void goertzel_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                       RangingScratch& scratch) const;
+  void goertzel_window(const acoustics::ReceivedWindow& window, const acoustics::MicUnit& mic,
+                       resloc::math::Rng& rng, RangingScratch& scratch) const;
 
   /// Matched-filter path: the same synthesis blocks, then NCC-picked chirp
   /// onsets marked into scratch.dsp.fired.
-  void ncc_window(const acoustics::MicUnit& mic, resloc::math::Rng& rng,
-                  RangingScratch& scratch) const;
+  void ncc_window(const acoustics::ReceivedWindow& window, const acoustics::MicUnit& mic,
+                  resloc::math::Rng& rng, RangingScratch& scratch) const;
 
   /// Builds or retunes the scratch's cached tone table + Goertzel detector
   /// for this service and resets the detector for a fresh window.
@@ -208,10 +221,14 @@ class RangingService {
   /// Shared by both sampled-audio paths: rasterizes the window's signal
   /// intervals into scratch.amplitude and its noise bursts into
   /// scratch.detector.burst. Consumes no randomness.
-  void rasterize_window_envelope(const acoustics::MicUnit& mic, RangingScratch& scratch) const;
+  void rasterize_window_envelope(const acoustics::ReceivedWindow& window,
+                                 const acoustics::MicUnit& mic, RangingScratch& scratch) const;
 
   RangingConfig config_;
   std::size_t window_samples_;
+  /// One hardware chirp window's detector draws: 2 * window_samples_ raw
+  /// steps.
+  resloc::math::Rng::Jump chirp_draws_;
   acoustics::ToneDetectorModel detector_;
 };
 

@@ -65,6 +65,19 @@ bool accumulate_run_avx512(std::uint8_t* s, const std::uint32_t* hi, std::size_t
   return ties != 0;
 }
 
+/// Qualifying-sample mask: one unsigned byte compare per 64 counters, the
+/// tail a masked load (bits past n stay 0, since threshold >= 1).
+__attribute__((target("avx512f,avx512bw")))
+void build_mask_avx512(const std::uint8_t* s, std::size_t n, std::uint8_t threshold,
+                       std::uint64_t* mask) {
+  const __m512i t = _mm512_set1_epi8(static_cast<char>(threshold));
+  for (std::size_t i = 0; i < n; i += 64) {
+    const std::size_t left = n - i;
+    const __mmask64 live = left >= 64 ? ~__mmask64{0} : (__mmask64{1} << left) - 1;
+    mask[i / 64] = _mm512_cmpge_epu8_mask(_mm512_maskz_loadu_epi8(live, s + i), t);
+  }
+}
+
 #endif  // RESLOC_X86_SIMD
 
 /// Saturating 4-bit counter update for a whole chirp window: one byte add
@@ -138,80 +151,63 @@ void SignalAccumulator::record_chirp_runs(resloc::math::Rng& rng,
   }
 }
 
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
-  return detect_signal(samples, params, 0);
+void SignalScanner::reset(const std::vector<std::uint8_t>& samples,
+                          const DetectionParams& params) {
+  const std::size_t n = samples.size();
+  size_ = static_cast<int>(n);
+  window_ = params.window;
+  min_detections_ = params.min_detections;
+  start_ = 0;
+  mask_.assign((n + 63) / 64, 0);
+  const int threshold = params.threshold;
+#if RESLOC_X86_SIMD
+  if (threshold >= 1 && threshold <= 255 && resloc::math::cpu_has_avx512_kernels()) {
+    build_mask_avx512(samples.data(), n, static_cast<std::uint8_t>(threshold), mask_.data());
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+    mask_[i / 64] |= static_cast<std::uint64_t>(samples[i] >= threshold) << (i % 64);
+  }
 }
 
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params,
-                  int start_index) {
-  const int n = static_cast<int>(samples.size());
-  const int m = params.window;
-  if (m <= 0 || start_index < 0 || start_index + m > n) return -1;
-
-  const auto qualifies = [&](int i) { return samples[static_cast<std::size_t>(i)] >= params.threshold; };
-
-  // Prime the sliding count over the first window [start_index, start_index + m).
-  int count = 0;
-  for (int i = start_index; i < start_index + m; ++i) {
-    if (qualifies(i)) ++count;
-  }
-  if (count >= params.min_detections && qualifies(start_index)) return start_index;
-
-  // Slide: window [start, start + m).
-  for (int start = start_index + 1; start + m <= n; ++start) {
-    if (qualifies(start - 1)) --count;
-    if (qualifies(start + m - 1)) ++count;
-    if (count >= params.min_detections && qualifies(start)) return start;
-  }
-  return -1;
+int SignalScanner::count(std::size_t lo, std::size_t hi) const {
+  if (lo >= hi) return 0;
+  const std::size_t first = lo / 64;
+  const std::size_t last = (hi - 1) / 64;
+  const std::uint64_t from_lo = ~std::uint64_t{0} << (lo % 64);
+  const std::uint64_t to_hi = ~std::uint64_t{0} >> (63 - (hi - 1) % 64);
+  if (first == last) return __builtin_popcountll(mask_[first] & from_lo & to_hi);
+  int c = __builtin_popcountll(mask_[first] & from_lo);
+  for (std::size_t w = first + 1; w < last; ++w) c += __builtin_popcountll(mask_[w]);
+  return c + __builtin_popcountll(mask_[last] & to_hi);
 }
-
-SignalScanner::SignalScanner(const std::vector<std::uint8_t>& samples,
-                             const DetectionParams& params)
-    : samples_(samples), params_(params) {}
 
 int SignalScanner::next() {
-  const int n = static_cast<int>(samples_.size());
-  const int m = params_.window;
-  if (m <= 0) return -1;
-
-  const auto qualifies = [&](int i) {
-    return samples_[static_cast<std::size_t>(i)] >= params_.threshold;
-  };
-
-  // Invariant: whenever primed_, count_ is the number of qualifying samples
-  // in [start_, start_ + m). The count is primed once and slid one position
-  // per examined window -- including across next() boundaries, which is what
-  // makes the whole rejection loop O(n) instead of O(window * rejections).
-  while (start_ + m <= n) {
-    if (!primed_) {
-      count_ = 0;
-      for (int i = start_; i < start_ + m; ++i) {
-        if (qualifies(i)) ++count_;
-      }
-      primed_ = true;
-    }
-    const bool hit = count_ >= params_.min_detections && qualifies(start_);
-    if (start_ + 1 + m <= n) {  // slide to [start_ + 1, start_ + 1 + m)
-      if (qualifies(start_)) --count_;
-      if (qualifies(start_ + m)) ++count_;
-    }
-    const int found = start_;
-    ++start_;
-    if (hit) return found;
+  // A window start qualifies only on a set bit, so the scan jumps between
+  // set bits (count-trailing-zeros) and counts each candidate's window.
+  if (window_ <= 0) return -1;
+  const int last_start = size_ - window_;
+  while (start_ <= last_start) {
+    std::size_t w = static_cast<std::size_t>(start_) / 64;
+    std::uint64_t bits = mask_[w] & (~std::uint64_t{0} << (start_ % 64));
+    while (bits == 0 && ++w < mask_.size()) bits = mask_[w];
+    if (bits == 0) break;
+    const int candidate = static_cast<int>(64 * w) + __builtin_ctzll(bits);
+    if (candidate > last_start) break;
+    start_ = candidate + 1;
+    const auto lo = static_cast<std::size_t>(candidate);
+    if (count(lo, lo + static_cast<std::size_t>(window_)) >= min_detections_) return candidate;
   }
+  start_ = last_start + 1;  // exhausted scanners stay exhausted
   return -1;
 }
 
-bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
-                              int threshold, int max_noisy) {
+bool SignalScanner::verify_preceding_silence(int index, int gap, int max_noisy) const {
   if (index < 0) return false;
   const int start = std::max(0, index - gap);
-  int noisy = 0;
-  for (int i = start; i < index; ++i) {
-    if (samples[static_cast<std::size_t>(i)] >= threshold) ++noisy;
-  }
-  return noisy <= max_noisy;
+  return count(static_cast<std::size_t>(start),
+               static_cast<std::size_t>(std::min(index, size_))) <= max_noisy;
 }
 
 }  // namespace resloc::ranging

@@ -19,7 +19,7 @@
 
 namespace resloc::ranging {
 
-/// Detection thresholds used by detect_signal. Defaults are the calibrated
+/// Detection thresholds used by SignalScanner. Defaults are the calibrated
 /// values from the grass experiment (Section 3.6): sums from 10 chirps must
 /// exceed T=2 in at least k=6 of m=32 consecutive samples.
 struct DetectionParams {
@@ -72,52 +72,54 @@ class SignalAccumulator {
   int chirps_ = 0;
 };
 
-/// detect-signal from Figure 3: returns the index of the first sample of the
-/// first window of `params.window` consecutive samples containing at least
-/// `params.min_detections` samples with accumulated count >= params.threshold,
-/// where the window's first sample itself qualifies (it marks the signal
-/// start). Returns -1 if no window qualifies.
+/// detect-signal from Figure 3 over the accumulated counters, resumable for
+/// pattern verification's rejection loop. A window of `params.window`
+/// consecutive samples qualifies when at least `params.min_detections` of
+/// them have count >= params.threshold and its first sample itself does (it
+/// marks the signal start); each next() returns the next qualifying window
+/// start. (The paper's pseudocode is 1-indexed mote code; this is the
+/// 0-indexed equivalent.)
 ///
-/// (The paper's pseudocode is 1-indexed mote code; this is the 0-indexed
-/// equivalent with the same sliding-count structure.)
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params);
-
-/// detect_signal restricted to windows starting at or after `start_index`;
-/// used to re-scan past a candidate rejected by pattern verification.
-int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params,
-                  int start_index);
-
-/// Resumable detect_signal: one pass over the accumulated buffer that yields
-/// successive candidate indices without re-priming the sliding count. Each
-/// next() call returns the same index the equivalent restart-based scan
-/// `detect_signal(samples, params, prev + 1)` would -- window qualification
-/// at a given start position depends only on the buffer, not on scan history
-/// -- but the whole rejection loop costs O(n) total instead of
-/// O(window * rejections). The referenced buffer must outlive the scanner
-/// and stay unmodified between next() calls.
+/// reset() turns the counters into a bitmask of qualifying samples, one bit
+/// per counter. Window qualification at a start depends only on that mask,
+/// so next() jumps from one set bit to the next and counts its window with a
+/// popcount, and the silence check is a popcount over the same mask: the
+/// whole rejection loop costs O(n / 64 + candidates * window / 64). The
+/// mask buffer is reused across reset() calls, so a scanner kept in a
+/// RangingScratch allocates nothing once grown.
 class SignalScanner {
  public:
-  SignalScanner(const std::vector<std::uint8_t>& samples, const DetectionParams& params);
+  SignalScanner() = default;
+  SignalScanner(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
+    reset(samples, params);
+  }
 
-  /// Next candidate start index at or after the previous result + 1
-  /// (first call: at or after 0), or -1 once exhausted.
+  /// Builds the mask of `samples` against params.threshold and rewinds the
+  /// scan to sample 0. The samples are not referenced afterwards.
+  void reset(const std::vector<std::uint8_t>& samples, const DetectionParams& params);
+
+  /// Next qualifying window start after the previous result (first call: at
+  /// or after 0), or -1 once exhausted.
   int next();
 
- private:
-  const std::vector<std::uint8_t>& samples_;
-  DetectionParams params_;
-  int start_ = 0;   ///< next window start to examine
-  int count_ = 0;   ///< qualifying samples in [start_, start_ + window)
-  bool primed_ = false;
-};
+  /// Pattern verification (Section 3.5): the emitted pattern is chirps
+  /// preceded by silence, so a genuine detection at `index` must be preceded
+  /// by a quiet gap. Returns true when at most `max_noisy` of the `gap`
+  /// samples before `index` (clipped at 0) meet the detection threshold;
+  /// false for a negative index. Detections failing this are echo tails or
+  /// noise (false detections "due to noise or echoes that are not part of
+  /// the pattern").
+  bool verify_preceding_silence(int index, int gap, int max_noisy) const;
 
-/// Pattern verification (Section 3.5): the emitted pattern is chirps preceded
-/// by silence, so a genuine detection at `index` must be preceded by a quiet
-/// gap. Returns true when the `gap` samples before `index` contain fewer than
-/// `max_noisy` samples meeting the threshold. Detections failing this are
-/// echo tails or noise (false detections "due to noise or echoes that are not
-/// part of the pattern").
-bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
-                              int threshold, int max_noisy);
+ private:
+  /// Qualifying samples in [lo, hi).
+  int count(std::size_t lo, std::size_t hi) const;
+
+  std::vector<std::uint64_t> mask_;  ///< sample i qualifies: bit i % 64 of word i / 64
+  int size_ = 0;
+  int window_ = 0;
+  int min_detections_ = 0;
+  int start_ = 0;  ///< next window start to examine
+};
 
 }  // namespace resloc::ranging

@@ -3,15 +3,18 @@
 //
 // The production measure path runs each chirp window as staged block kernels
 // over contiguous buffers. This is the form they replaced, one sample at a
-// time: the hardware detector draws rng.bernoulli(p) per sample from the
-// strongest covering tone's SNR, the sampled-audio modes synthesize and
-// filter in one fused per-sample loop, and each chirp's binary series is a
-// std::vector<bool> folded into the 4-bit counters sample by sample. It draws
-// the same RNG stream in the same order, so the production estimate,
-// diagnostics, counters and post-call generator state must match it to the
-// last bit. The constants below mirror the private ones of
-// acoustics/tone_detector.cpp and ranging/ranging_service.cpp; the
-// equivalence tests fail if either side drifts.
+// time: the channel computes every emission's jitter and echo draws whether
+// or not they can reach the window, the hardware detector draws
+// rng.bernoulli(p) per sample from the strongest covering tone's SNR, the
+// sampled-audio modes synthesize and filter in one fused per-sample loop,
+// each chirp's binary series is a std::vector<bool> folded into the 4-bit
+// counters sample by sample, and detection restarts its sliding count after
+// every rejected candidate (restart_scan.hpp). It draws the same RNG stream
+// in the same order, so the production estimate, diagnostics, counters and
+// post-call generator state must match it to the last bit. The constants
+// below mirror the private ones of acoustics/tone_detector.cpp and
+// ranging/ranging_service.cpp; the equivalence tests fail if either side
+// drifts.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +34,7 @@
 #include "ranging/ranging_service.hpp"
 #include "ranging/signal_detection.hpp"
 #include "ranging/tdoa.hpp"
+#include "restart_scan.hpp"
 
 namespace resloc::reference {
 
@@ -43,6 +47,71 @@ constexpr double kFaultyMicLeakAmplitude = 1.0;
 /// Baseline mode's first-sustained-firing debounce.
 constexpr ranging::DetectionParams kBaselineDetection{/*threshold=*/1, /*window=*/4,
                                                       /*min_detections=*/3};
+
+/// acoustics::receive_into with every draw taken eagerly: each emission's
+/// power-up jitter, and each echo's delay and SNR, are computed even when
+/// they cannot reach the window.
+inline void eager_receive_into(acoustics::ReceivedWindow& window,
+                               const std::vector<acoustics::Emission>& emissions,
+                               double window_start_s, double window_duration_s,
+                               const acoustics::LinkResponse& link,
+                               const acoustics::SpeakerUnit& speaker,
+                               const acoustics::MicUnit& mic,
+                               const acoustics::EnvironmentProfile& env,
+                               const acoustics::ChannelJitter& jitter, math::Rng& rng) {
+  window.signals.clear();
+  window.bursts.clear();
+  window.start_s = window_start_s;
+  window.duration_s = window_duration_s;
+  const double window_end = window_start_s + window_duration_s;
+  const double direct_snr =
+      (((speaker.effective_db() - link.spreading_db) - link.excess_db) + mic.sensitivity_db) -
+      env.noise_floor_db;
+  const double travel_s = link.travel_s;
+  for (const acoustics::Emission& e : emissions) {
+    const double audible_start = e.start_s + travel_s + speaker.onset_delay_s +
+                                 rng.gaussian(0.0, jitter.actuation_jitter_s);
+    const double audible_end = e.start_s + travel_s + e.duration_s;
+    const double ramp_end = std::min(audible_start + acoustics::kRampupS, audible_end);
+    if (audible_end > window_start_s && audible_start < window_end && audible_end > audible_start) {
+      if (ramp_end > audible_start) {
+        window.signals.push_back(
+            {audible_start, ramp_end, direct_snr - acoustics::kRampupPenaltyDb});
+      }
+      if (audible_end > ramp_end) window.signals.push_back({ramp_end, audible_end, direct_snr});
+    }
+    if (env.fixed_echo_lag_s > 0.0) {
+      const double echo_start = e.start_s + travel_s + env.fixed_echo_lag_s;
+      const double echo_end = echo_start + e.duration_s;
+      if (echo_end > window_start_s && echo_start < window_end) {
+        window.signals.push_back(
+            {echo_start, echo_end, direct_snr - env.fixed_echo_attenuation_db});
+      }
+    }
+    double remaining = env.echo_rate;
+    while (remaining > 0.0 && rng.bernoulli(std::min(remaining, 1.0))) {
+      remaining -= 1.0;
+      const double delay = rng.exponential(1.0 / env.echo_delay_mean_s);
+      const double echo_snr = direct_snr - env.echo_attenuation_db + rng.gaussian(0.0, 2.0);
+      const double echo_start = e.start_s + travel_s + delay;
+      const double echo_end = echo_start + e.duration_s;
+      if (echo_end > window_start_s && echo_start < window_end) {
+        window.signals.push_back({echo_start, echo_end, echo_snr});
+      }
+    }
+  }
+  if (env.noise_burst_rate_hz > 0.0) {
+    double t = window_start_s + rng.exponential(env.noise_burst_rate_hz);
+    while (t < window_end) {
+      window.bursts.push_back({t, t + env.noise_burst_duration_s});
+      t += rng.exponential(env.noise_burst_rate_hz);
+    }
+  }
+  std::sort(window.signals.begin(), window.signals.end(),
+            [](const acoustics::SignalInterval& a, const acoustics::SignalInterval& b) {
+              return a.start_s < b.start_s;
+            });
+}
 
 /// The 4-bit counters, fed one std::vector<bool> chirp at a time.
 class PerSampleAccumulator {
@@ -236,9 +305,9 @@ inline ranging::RangingAttempt measure(const ranging::RangingService& service,
   for (const acoustics::Emission& emission : scratch.emissions) {
     const double sync_error_s =
         calibration_bias_s + rng.gaussian(0.0, config.tdoa.sync_jitter_s);
-    acoustics::receive_into(scratch.received, scratch.emissions, emission.start_s - sync_error_s,
-                            window_duration_s, link_local, speaker, mic, config.environment,
-                            config.channel_jitter, rng);
+    eager_receive_into(scratch.received, scratch.emissions, emission.start_s - sync_error_s,
+                       window_duration_s, link_local, speaker, mic, config.environment,
+                       config.channel_jitter, rng);
     switch (config.detector_mode) {
       case ranging::DetectorMode::kHardware:
         sample_detector_window(config.environment, acoustics::kSampleRateHz,
@@ -257,14 +326,13 @@ inline ranging::RangingAttempt measure(const ranging::RangingService& service,
   const ranging::DetectionParams detection =
       config.baseline ? kBaselineDetection : config.detection;
   const std::vector<std::uint8_t>& samples = scratch.accumulator.samples();
-  ranging::SignalScanner scanner(samples, detection);
-  int index = scanner.next();
+  int index = detect_signal(samples, detection);
   if (!config.baseline && config.verify_pattern) {
     while (index >= 0 &&
-           !ranging::verify_preceding_silence(samples, index, ranging::kSilenceGapSamples,
-                                              detection.threshold, ranging::kSilenceMaxNoisy)) {
+           !verify_preceding_silence(samples, index, ranging::kSilenceGapSamples,
+                                     detection.threshold, ranging::kSilenceMaxNoisy)) {
       ++attempt.rejected_detections;
-      index = scanner.next();
+      index = detect_signal(samples, detection, index + 1);
     }
   }
   if (index >= 0) {

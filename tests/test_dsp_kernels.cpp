@@ -36,9 +36,11 @@ namespace acoustics = resloc::acoustics;
 namespace ranging = resloc::ranging;
 namespace reference = resloc::reference;
 
-// Sizes chosen to cross the 16-lane stride of fill_high_words_block and
-// the Goertzel 256-step resync period, plus odd/partial-tail cases.
-const std::size_t kBlockSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 36, 100, 255, 256, 257, 1163};
+// Sizes chosen to cross the 64-lane group of fill_high_words_block, its
+// 8-lane vectors and the Goertzel 256-step resync period, plus odd/partial-
+// tail cases.
+const std::size_t kBlockSizes[] = {0,  1,  2,  3,   4,   5,   7,   8,   9,   31,  36,
+                                   63, 64, 65, 100, 127, 128, 129, 255, 256, 257, 1163};
 
 TEST(RngBlocks, HighWordsBlockMatchesSequential) {
   for (std::size_t n : kBlockSizes) {
@@ -56,22 +58,51 @@ TEST(RngBlocks, HighWordsBlockMatchesSequential) {
   }
 }
 
+/// PCG32 XSH-RR output of a raw state, written out independently of
+/// math/rng.cpp for the lane tests.
+std::uint32_t xsh_rr(std::uint64_t state) {
+  const auto x = static_cast<std::uint32_t>(((state >> 18u) ^ state) >> 27u);
+  const auto rot = static_cast<std::uint32_t>(state >> 59u);
+  return (x >> rot) | (x << ((32u - rot) & 31u));
+}
+
 TEST(RngBlocks, HighWordLaneVariantsMatchPortable) {
+  // Every n % 64 tail, n < 64 included, across several groups; the portable
+  // lanes against the raw LCG walked one step at a time, and every SIMD
+  // variant the CPU supports against the portable lanes.
   namespace detail = resloc::math::detail;
-  for (std::size_t groups : {0u, 1u, 2u, 3u, 17u, 73u}) {
+  constexpr std::uint64_t kMul = 6364136223846793005ULL;
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 3 * detail::kHighWordLanes + 1; ++n) sizes.push_back(n);
+  sizes.push_back(17 * detail::kHighWordLanes + 9);
+  sizes.push_back(73 * detail::kHighWordLanes + 63);
+  for (std::size_t n : sizes) {
     for (std::uint64_t state : {0x0ULL, 0x853c49e6748fea9bULL, ~0ULL}) {
-      const std::uint64_t inc = (groups << 1u) | 1u;
-      std::vector<std::uint32_t> portable(groups * detail::kHighWordLanes);
-      const std::uint64_t end = detail::high_words_portable(state, inc, portable.data(), groups);
+      const std::uint64_t inc = (n << 1u) | 1u;
+      std::vector<std::uint32_t> expect(n);
+      std::uint64_t s = state;
+      for (std::uint32_t& word : expect) {
+        word = xsh_rr(s);
+        s = (s * kMul + inc) * kMul + inc;  // the low word's step is never permuted
+      }
+      std::vector<std::uint32_t> portable(n);
+      ASSERT_EQ(detail::high_words_portable(state, inc, portable.data(), n), s) << "n=" << n;
+      ASSERT_EQ(portable, expect) << "portable n=" << n;
 #if RESLOC_X86_SIMD
-      std::vector<std::uint32_t> simd(portable.size());
+      // One sentinel word past n: a tail must not write beyond its lanes.
+      std::vector<std::uint32_t> simd(n + 1, 0xA5A5A5A5u);
       if (resloc::math::cpu_has_avx512_kernels()) {
-        EXPECT_EQ(detail::high_words_avx512(state, inc, simd.data(), groups), end);
-        EXPECT_EQ(simd, portable) << "avx512 groups=" << groups;
+        EXPECT_EQ(detail::high_words_avx512(state, inc, simd.data(), n), s);
+        EXPECT_EQ(std::vector<std::uint32_t>(simd.begin(), simd.end() - 1), expect)
+            << "avx512 n=" << n;
+        EXPECT_EQ(simd.back(), 0xA5A5A5A5u) << "avx512 n=" << n;
       }
       if (resloc::math::cpu_has_avx2_kernels()) {
-        EXPECT_EQ(detail::high_words_avx2(state, inc, simd.data(), groups), end);
-        EXPECT_EQ(simd, portable) << "avx2 groups=" << groups;
+        simd.assign(n + 1, 0xA5A5A5A5u);
+        EXPECT_EQ(detail::high_words_avx2(state, inc, simd.data(), n), s);
+        EXPECT_EQ(std::vector<std::uint32_t>(simd.begin(), simd.end() - 1), expect)
+            << "avx2 n=" << n;
+        EXPECT_EQ(simd.back(), 0xA5A5A5A5u) << "avx2 n=" << n;
       }
 #endif
     }
@@ -231,7 +262,8 @@ TEST(HardwareBlock, HighWordTiesResolveExactly) {
   // Runs built from the draws themselves: a length-1 run at threshold bits_i
   // ties its draw's high word and must not fire, one at bits_i + 1 must.
   // Between them sit p = 0 and p = 1 runs and random-threshold runs whose
-  // edges fall off the 16-lane stride, some longer than one 64-sample block.
+  // edges fall off the 8-lane vectors and the 64-lane group, some longer
+  // than one 64-sample block.
   const std::size_t n = 301;
   const std::uint64_t kAlways = Rng::bernoulli_threshold(1.0);
   EXPECT_EQ(Rng::high_word_threshold(kAlways), 0xFFFFFFFFu);
@@ -376,27 +408,44 @@ TEST(MatchedFilterBlock, ByteMarksMatchBoolMarks) {
 }
 
 TEST(SignalScanner, YieldsSameCandidatesAsRestartScan) {
+  // Random counters against the restart scan of tests/reference: n off the
+  // 64-bit mask words, windows straddling word edges and longer than a word,
+  // T from 1 to 15, and k = window (every sample must qualify).
   Rng rng(31, 12);
-  for (int trial = 0; trial < 300; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+  ranging::SignalScanner scanner;  // reused across trials, like RangingScratch
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 400));
     std::vector<std::uint8_t> samples(n);
-    for (auto& s : samples) s = static_cast<std::uint8_t>(rng.uniform_int(0, 4));
+    const int top = static_cast<int>(rng.uniform_int(1, 15));
+    for (auto& s : samples) s = static_cast<std::uint8_t>(rng.uniform_int(0, top));
     ranging::DetectionParams params;
-    params.threshold = static_cast<int>(rng.uniform_int(1, 3));
-    params.window = static_cast<int>(rng.uniform_int(1, 40));
-    params.min_detections = static_cast<int>(rng.uniform_int(1, params.window));
-    ranging::SignalScanner scanner(samples, params);
-    int expect = ranging::detect_signal(samples, params, 0);
+    const int thresholds[] = {1, 15, 2, static_cast<int>(rng.uniform_int(1, 15))};
+    params.threshold = thresholds[trial % 4];
+    params.window = static_cast<int>(rng.uniform_int(1, trial % 3 == 0 ? 150 : 40));
+    params.min_detections = trial % 5 == 0 ? params.window
+                                           : static_cast<int>(rng.uniform_int(1, params.window));
+    scanner.reset(samples, params);
+    int expect = reference::detect_signal(samples, params, 0);
     int guard = 0;
     for (;;) {
       const int got = scanner.next();
       ASSERT_EQ(got, expect) << "trial=" << trial;
       if (got < 0) break;
-      expect = ranging::detect_signal(samples, params, got + 1);
+      expect = reference::detect_signal(samples, params, got + 1);
       ASSERT_LT(++guard, 1000);
     }
     // Exhausted scanners stay exhausted.
     EXPECT_EQ(scanner.next(), -1);
+    // The silence check counts the same mask as the per-sample loop.
+    for (int probe = 0; probe < 8; ++probe) {
+      const int index = static_cast<int>(rng.uniform_int(-1, static_cast<std::int64_t>(n)));
+      const int gap = static_cast<int>(rng.uniform_int(0, 130));
+      const int max_noisy = static_cast<int>(rng.uniform_int(0, 6));
+      ASSERT_EQ(scanner.verify_preceding_silence(index, gap, max_noisy),
+                reference::verify_preceding_silence(samples, index, gap, params.threshold,
+                                                    max_noisy))
+          << "trial=" << trial << " index=" << index << " gap=" << gap;
+    }
   }
 }
 
@@ -438,6 +487,93 @@ TEST(LinkResponse, RecomposesSnrBitExactly) {
     const double expect = acoustics::snr_db(source_db, d, sens_db, env);
     ASSERT_EQ(std::memcmp(&recomposed, &expect, sizeof(double)), 0) << "d=" << d;
   }
+}
+
+bool same_interval(const acoustics::SignalInterval& a, const acoustics::SignalInterval& b) {
+  return std::memcmp(&a.start_s, &b.start_s, sizeof(double)) == 0 &&
+         std::memcmp(&a.end_s, &b.end_s, sizeof(double)) == 0 &&
+         std::memcmp(&a.snr_db, &b.snr_db, sizeof(double)) == 0;
+}
+
+TEST(ChannelLazyDraws, MatchEagerReferenceWindowAndStream) {
+  // receive_into skips the draws a window cannot use; the eager reference
+  // takes them all. Random schedules around the window, jitter sigma of 0,
+  // the default and 50 ms (the skip bound's reach), echo rates of 0, 0.9 and
+  // 2.5 per chirp, and long echo delays that carry earlier chirps' echoes
+  // into the window. Signals, bursts and the generator's end state (cached
+  // Box-Muller half included) must match bit for bit.
+  const double sigmas[] = {0.0, acoustics::ChannelJitter{}.actuation_jitter_s, 0.05};
+  const double echo_rates[] = {0.0, 0.9, 2.5};
+  Rng gen(0x5EED, 17);
+  acoustics::ReceivedWindow lazy;  // reused across trials, like RangingScratch
+  acoustics::ReceivedWindow eager;
+  int earlier_echoes = 0;
+  for (int trial = 0; trial < 900; ++trial) {
+    acoustics::EnvironmentProfile env = acoustics::EnvironmentProfile::grass();
+    env.echo_rate = echo_rates[trial % 3];
+    env.echo_delay_mean_s = trial % 2 == 0 ? 0.03 : 0.3;
+    env.noise_burst_rate_hz = gen.bernoulli(0.5) ? 1.2 : 0.0;
+    env.fixed_echo_lag_s = gen.bernoulli(0.3) ? 0.012 : 0.0;
+    acoustics::ChannelJitter jitter;
+    jitter.actuation_jitter_s = sigmas[(trial / 3) % 3];
+    acoustics::SpeakerUnit speaker;
+    speaker.onset_delay_s = gen.uniform(-0.001, 0.001);
+    const acoustics::MicUnit mic;
+
+    std::vector<acoustics::Emission> emissions;
+    double t = gen.uniform(-0.1, 0.1);
+    const auto count = static_cast<std::size_t>(gen.uniform_int(1, 12));
+    for (std::size_t i = 0; i < count; ++i) {
+      emissions.push_back({t, gen.uniform(0.004, 0.032)});
+      t += gen.uniform(0.005, 0.3);
+    }
+    const auto aligned =
+        static_cast<std::size_t>(gen.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+    const acoustics::LinkResponse link = acoustics::link_response(gen.uniform(0.0, 60.0), env);
+    const double window_start = emissions[aligned].start_s + gen.uniform(-0.002, 0.002);
+    const double window_duration = gen.uniform(0.01, 0.12);
+
+    Rng a(trial, 5);
+    Rng b(trial, 5);
+    if (trial % 4 == 1) {  // enter with a cached Box-Muller half
+      a.gaussian();
+      b.gaussian();
+    }
+    acoustics::receive_into(lazy, emissions, window_start, window_duration, link, speaker, mic,
+                            env, jitter, a);
+    reference::eager_receive_into(eager, emissions, window_start, window_duration, link, speaker,
+                                  mic, env, jitter, b);
+
+    ASSERT_EQ(lazy.signals.size(), eager.signals.size()) << "trial=" << trial;
+    for (std::size_t i = 0; i < eager.signals.size(); ++i) {
+      ASSERT_TRUE(same_interval(lazy.signals[i], eager.signals[i]))
+          << "trial=" << trial << " i=" << i;
+    }
+    ASSERT_EQ(lazy.bursts.size(), eager.bursts.size()) << "trial=" << trial;
+    for (std::size_t i = 0; i < eager.bursts.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&lazy.bursts[i], &eager.bursts[i], sizeof(acoustics::NoiseBurst)),
+                0)
+          << "trial=" << trial << " i=" << i;
+    }
+    const double ga = a.gaussian();
+    const double gb = b.gaussian();
+    ASSERT_EQ(std::memcmp(&ga, &gb, sizeof(double)), 0) << "trial=" << trial;
+    ASSERT_EQ(a.uniform_bits(), b.uniform_bits()) << "trial=" << trial;
+
+    // A random echo (SNR off the direct, ramp and fixed-echo levels) that
+    // starts before the aligned chirp arrives came from an earlier chirp.
+    const double direct_snr = (((speaker.effective_db() - link.spreading_db) - link.excess_db) +
+                               mic.sensitivity_db) -
+                              env.noise_floor_db;
+    const double arrival = emissions[aligned].start_s + link.travel_s;
+    for (const acoustics::SignalInterval& s : eager.signals) {
+      const bool random_echo = s.snr_db != direct_snr &&
+                               s.snr_db != direct_snr - acoustics::kRampupPenaltyDb &&
+                               s.snr_db != direct_snr - env.fixed_echo_attenuation_db;
+      if (random_echo && s.start_s < arrival) ++earlier_echoes;
+    }
+  }
+  EXPECT_GT(earlier_echoes, 0);
 }
 
 /// End-to-end: RangingService::measure and the per-sample reference measure

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "math/rng.hpp"
 #include "math/stats.hpp"
@@ -208,6 +210,104 @@ TEST(Rng, ForkDiffersFromParentContinuation) {
     if (child.next_u32() == parent.next_u32()) ++same;
   }
   EXPECT_LT(same, 4);
+}
+
+// --- skip_gaussian / skip_exponential: lazy draws are stream-identical ---
+
+/// Bitwise double equality (NaN-safe, -0 != +0).
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(RngSkip, AnyInterleavingMatchesEagerDraws) {
+  // The lazy generator skips where the eager one draws and discards; every
+  // value both read must be the same double, and both must end in the same
+  // state, Box-Muller cache included.
+  for (int trial = 0; trial < 300; ++trial) {
+    Rng script(trial, 3);
+    Rng lazy(1000 + trial, 9);
+    Rng eager(1000 + trial, 9);
+    for (int step = 0; step < 80; ++step) {
+      switch (script.uniform_int(0, 6)) {
+        case 0: {
+          const double mean = script.uniform(-2.0, 2.0);
+          const double sigma = script.uniform(0.0, 3.0);
+          ASSERT_TRUE(same_bits(lazy.gaussian(mean, sigma), eager.gaussian(mean, sigma)))
+              << "trial=" << trial << " step=" << step;
+          break;
+        }
+        case 1:
+          lazy.skip_gaussian();
+          eager.gaussian();
+          break;
+        case 2: {
+          const double lambda = script.uniform(0.1, 40.0);
+          ASSERT_TRUE(same_bits(lazy.exponential(lambda), eager.exponential(lambda)))
+              << "trial=" << trial << " step=" << step;
+          break;
+        }
+        case 3:
+          lazy.skip_exponential();
+          eager.exponential(1.0);
+          break;
+        case 4: {
+          const auto n = static_cast<std::size_t>(script.uniform_int(0, 5));
+          std::vector<double> a(n), b(n);
+          lazy.fill_gaussian_block(a.data(), n);
+          eager.fill_gaussian_block(b.data(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(same_bits(a[i], b[i])) << "trial=" << trial << " step=" << step;
+          }
+          break;
+        }
+        case 5:
+          ASSERT_EQ(lazy.uniform_bits(), eager.uniform_bits());
+          break;
+        default: {
+          // A copy carries any pending half; continue on the copy.
+          const Rng copy = lazy;
+          lazy = copy;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(same_bits(lazy.gaussian(), eager.gaussian())) << "trial=" << trial;
+    ASSERT_TRUE(same_bits(lazy.gaussian(), eager.gaussian())) << "trial=" << trial;
+    ASSERT_EQ(lazy.uniform_bits(), eager.uniform_bits()) << "trial=" << trial;
+  }
+}
+
+TEST(RngSkip, PendingHalfSurvivesCopy) {
+  for (int seed = 0; seed < 50; ++seed) {
+    Rng eager(seed, 4);
+    eager.gaussian();
+    const double second = eager.gaussian();
+
+    Rng lazy(seed, 4);
+    lazy.skip_gaussian();  // the pair's second half is left pending
+    Rng copy = lazy;
+    Rng assigned(7, 7);
+    assigned = lazy;
+    // Uniform draws do not touch the pending half.
+    EXPECT_EQ(copy.uniform_bits(), assigned.uniform_bits());
+    lazy.uniform_bits();
+    EXPECT_TRUE(same_bits(copy.gaussian(), second)) << "seed=" << seed;
+    EXPECT_TRUE(same_bits(assigned.gaussian(), second)) << "seed=" << seed;
+    EXPECT_TRUE(same_bits(lazy.gaussian(), second)) << "seed=" << seed;
+    eager.uniform_bits();
+    const std::uint64_t next = eager.uniform_bits();
+    EXPECT_EQ(lazy.uniform_bits(), next);
+    EXPECT_EQ(copy.uniform_bits(), next);
+    EXPECT_EQ(assigned.uniform_bits(), next);
+  }
+}
+
+TEST(RngSkip, SkipConsumesACachedHalf) {
+  Rng lazy(11, 2);
+  Rng eager(11, 2);
+  EXPECT_TRUE(same_bits(lazy.gaussian(), eager.gaussian()));
+  lazy.skip_gaussian();  // the cached second half, no new pair
+  eager.gaussian();
+  EXPECT_EQ(lazy.uniform_bits(), eager.uniform_bits());
+  EXPECT_TRUE(same_bits(lazy.gaussian(), eager.gaussian()));
 }
 
 }  // namespace

@@ -89,18 +89,24 @@ std::map<std::string, std::uint64_t> stage_counts(const obs::TelemetrySnapshot& 
 
 TEST_F(ObsTest, MeasureEmitsExactlyTheArchitectureSpanTree) {
   // One measure per detector front end must emit exactly the sub-stages of
-  // the docs/ARCHITECTURE.md span table, once per chirp where per-chirp; the
-  // retired coarse names never appear.
+  // the docs/ARCHITECTURE.md span table: the hardware front end as one
+  // channel pass and one accumulate pass, the sampled-audio ones once per
+  // chirp where per-chirp; the retired coarse names never appear.
   using resloc::ranging::DetectorMode;
   constexpr std::uint64_t kChirps = 10;
-  const std::map<std::string, std::uint64_t> common = {
+  const std::map<std::string, std::uint64_t> hardware = {
+      {"ranging/measure", 1},
+      {"ranging/synthesis/schedule", 1},
+      {"ranging/channel", 1},
+      {"ranging/detection/accumulate", 1},
+      {"ranging/detection/scan", 1},
+  };
+  const std::map<std::string, std::uint64_t> sampled_audio = {
       {"ranging/measure", 1},
       {"ranging/synthesis/schedule", 1},
       {"ranging/channel", kChirps},
       {"ranging/detection/accumulate", kChirps + 1},  // + the counter reset
       {"ranging/detection/scan", 1},
-  };
-  const std::map<std::string, std::uint64_t> sampled_audio = {
       {"ranging/synthesis/envelope", kChirps},
       {"ranging/synthesis/noise", kChirps},
       {"ranging/synthesis/tone", kChirps},
@@ -111,11 +117,9 @@ TEST_F(ObsTest, MeasureEmitsExactlyTheArchitectureSpanTree) {
     return a;
   };
   const std::map<DetectorMode, std::map<std::string, std::uint64_t>> expected = {
-      {DetectorMode::kHardware, common},
-      {DetectorMode::kGoertzel,
-       merged(merged(common, sampled_audio), {{"ranging/detection/goertzel", kChirps}})},
-      {DetectorMode::kMatchedFilter,
-       merged(merged(common, sampled_audio), {{"ranging/detection/ncc", kChirps}})},
+      {DetectorMode::kHardware, hardware},
+      {DetectorMode::kGoertzel, merged(sampled_audio, {{"ranging/detection/goertzel", kChirps}})},
+      {DetectorMode::kMatchedFilter, merged(sampled_audio, {{"ranging/detection/ncc", kChirps}})},
   };
 
   obs::set_enabled(true);

@@ -13,6 +13,18 @@ namespace {
 using namespace resloc::ranging;
 using resloc::math::Rng;
 
+/// detect-signal: the scanner's first candidate.
+int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
+  return SignalScanner(samples, params).next();
+}
+
+/// The silence check over a scanner built at `threshold`.
+bool verify_preceding_silence(const std::vector<std::uint8_t>& samples, int index, int gap,
+                              int threshold, int max_noisy) {
+  const SignalScanner scanner(samples, DetectionParams{threshold, 1, 1});
+  return scanner.verify_preceding_silence(index, gap, max_noisy);
+}
+
 /// Feeds one chirp's 0/1 detector output through the production accumulate.
 void record(SignalAccumulator& acc, const std::vector<std::uint8_t>& fired) {
   acc.record_chirp_block(fired.data(), fired.size());
@@ -64,17 +76,19 @@ TEST(DetectSignal, WindowStartMustQualify) {
   EXPECT_EQ(detect_signal(samples, params), 12);
 }
 
-TEST(DetectSignal, StartIndexSkipsEarlyCandidates) {
+TEST(DetectSignal, ResumesPastEarlyCandidates) {
   std::vector<std::uint8_t> samples(80, 0);
   for (int i = 5; i < 15; ++i) samples[static_cast<std::size_t>(i)] = 3;   // first burst
   for (int i = 40; i < 60; ++i) samples[static_cast<std::size_t>(i)] = 3;  // second burst
   DetectionParams params{2, 8, 4};
-  EXPECT_EQ(detect_signal(samples, params, 0), 5);
-  // Restarting inside the first burst re-detects within it...
-  EXPECT_EQ(detect_signal(samples, params, 6), 6);
-  // ...while restarting past it finds the second burst.
-  EXPECT_EQ(detect_signal(samples, params, 15), 40);
-  EXPECT_EQ(detect_signal(samples, params, 61), -1);
+  SignalScanner scanner(samples, params);
+  // Every start inside the first burst whose window still holds 4
+  // qualifying samples is a candidate...
+  for (int expect = 5; expect <= 11; ++expect) EXPECT_EQ(scanner.next(), expect);
+  // ...then the scan resumes past it and finds the second burst.
+  for (int expect = 40; expect <= 56; ++expect) EXPECT_EQ(scanner.next(), expect);
+  EXPECT_EQ(scanner.next(), -1);
+  EXPECT_EQ(scanner.next(), -1);
 }
 
 TEST(DetectSignal, ShortInputSafe) {

@@ -304,6 +304,24 @@ TEST(RangingService, RejectsNegativeOrNonFiniteSyncJitter) {
   }
 }
 
+// The channel's lazy-draw bound reads the jitter; a NaN used to drop every
+// direct path silently (no onset compares below the window's end).
+TEST(RangingService, RejectsNegativeOrNonFiniteActuationJitter) {
+  for (const double jitter : kNegativeOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.channel_jitter.actuation_jitter_s = jitter;
+    expect_rejected(config, "channel_jitter.actuation_jitter_s", std::to_string(jitter));
+  }
+}
+
+TEST(RangingService, RejectsNonPositiveOrNonFiniteToneFrequency) {
+  for (const double frequency : kNonPositiveOrNonFinite) {
+    RangingConfig config = resloc::sim::grass_refined_ranging();
+    config.pattern.tone_frequency_hz = frequency;
+    expect_rejected(config, "pattern.tone_frequency_hz", std::to_string(frequency));
+  }
+}
+
 TEST(RangingService, RejectsFalsePositiveRateOutsideTheUnitInterval) {
   for (const double rate : {-0.01, 1.01, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     RangingConfig config = resloc::sim::grass_refined_ranging();
