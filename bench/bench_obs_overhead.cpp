@@ -77,8 +77,6 @@ int main(int argc, char** argv) {
     const auto data = sim::run_field_experiment(deployment, config, rng);
     g_sink = data.samples.size();
   };
-  const int reps = 9;
-
   // --- End to end: telemetry off (the default production mode) vs fully on
   // (counters + stage totals + retained span events, the --trace
   // configuration). The overhead is a few percent of a ~0.2 s campaign, well
@@ -89,22 +87,30 @@ int main(int argc, char** argv) {
   // all-off-then-all-on lets a drift between the phases masquerade as
   // overhead several times the real effect -- and the reported overhead is
   // the median ratio across pairs, immune to a co-tenant burst landing in
-  // any one sample.
+  // any one sample. Pairs alternate which half runs first, so an order
+  // effect within a pair (the second half running on warmer caches, or
+  // after a co-tenant burst has passed) favours each side equally often and
+  // cancels in the median instead of biasing every ratio one way.
+  // Enough pairs that five runs on a shared 4-core VM spread under 2 points
+  // of overhead (1.5 measured), a fifth of the 10% gate.
+  constexpr int kPairs = 81;
   constexpr int kCampaignsPerSample = 2;
   obs::set_enabled(true);  // pays the one-time TSC calibration before timing
-  obs::reset();
   std::vector<double> disabled_samples, enabled_samples, ratios;
-  for (int r = 0; r < reps; ++r) {
-    obs::set_enabled(false);
-    obs::set_capture_spans(false);
-    double t0 = now_s();
-    for (int c = 0; c < kCampaignsPerSample; ++c) campaign();
-    const double d = now_s() - t0;
-    obs::set_enabled(true);
-    obs::set_capture_spans(true);
-    t0 = now_s();
-    for (int c = 0; c < kCampaignsPerSample; ++c) campaign();
-    const double e = now_s() - t0;
+  for (int r = 0; r < kPairs; ++r) {
+    double d = 0.0, e = 0.0;
+    for (int half = 0; half < 2; ++half) {
+      const bool on = (half == 0) == (r % 2 == 1);
+      // Each enabled sample records into emptied buffers, so the retained
+      // spans never reach the per-thread cap however many pairs run; the
+      // snapshot below then holds exactly one enabled sample.
+      if (on) obs::reset();
+      obs::set_enabled(on);
+      obs::set_capture_spans(on);
+      const double t0 = now_s();
+      for (int c = 0; c < kCampaignsPerSample; ++c) campaign();
+      (on ? e : d) = now_s() - t0;
+    }
     disabled_samples.push_back(d);
     enabled_samples.push_back(e);
     ratios.push_back(e / d);
@@ -117,18 +123,17 @@ int main(int argc, char** argv) {
   const double enabled_s = median(enabled_samples) / kCampaignsPerSample;
   const double enabled_overhead = median(ratios) - 1.0;
 
-  // The instrumented runs also yield the stage attribution and the
-  // spans-per-measure ratio (counts are deterministic; reps just repeat them).
+  // The last enabled sample also yields the stage attribution and the
+  // spans-per-measure ratio (counts are deterministic; samples repeat them).
   const obs::TelemetrySnapshot snap = obs::snapshot();
   obs::set_enabled(false);
   obs::set_capture_spans(false);
 
-  // The counters accumulated over every enabled campaign; per-measure stage
-  // averages divide by the accumulated count, per-campaign quantities by the
-  // per-run count.
+  // The counters of that sample's campaigns; per-measure stage averages
+  // divide by its count, per-campaign quantities by the per-run count.
   const std::uint64_t measures = snap.counter(obs::Counter::kMeasureCalls);
   const std::uint64_t measures_per_run =
-      measures / static_cast<std::uint64_t>(reps * kCampaignsPerSample);
+      measures / static_cast<std::uint64_t>(kCampaignsPerSample);
   std::uint64_t total_spans = 0;
   for (const obs::StageTotal& t : snap.stage_totals) total_spans += t.count;
   const double spans_per_measure =

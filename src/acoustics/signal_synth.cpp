@@ -119,13 +119,4 @@ void WaveformSynthesizer::synthesize_into(std::vector<double>& wave, const Wavef
   }
 }
 
-std::vector<double> WaveformSynthesizer::synthesize(const WaveformSpec& spec,
-                                                    const std::vector<ChirpPlacement>& chirps,
-                                                    std::size_t num_samples,
-                                                    resloc::math::Rng& rng) {
-  std::vector<double> wave;
-  synthesize_into(wave, spec, chirps, num_samples, rng);
-  return wave;
-}
-
 }  // namespace resloc::acoustics

@@ -85,14 +85,6 @@ class WaveformSynthesizer {
                        const std::vector<ChirpPlacement>& chirps, std::size_t num_samples,
                        resloc::math::Rng& rng);
 
-  /// Allocating convenience wrapper over synthesize_into.
-  std::vector<double> synthesize(const WaveformSpec& spec,
-                                 const std::vector<ChirpPlacement>& chirps,
-                                 std::size_t num_samples, resloc::math::Rng& rng);
-
-  /// Cached (sample rate, frequency) tone templates currently held.
-  std::size_t cached_templates() const { return templates_.size(); }
-
   /// The (rate, frequency) tone template extended to at least `length`
   /// samples, as a read-only view. The pointers are invalidated by any later
   /// call that creates or extends a template (same lifetime rule as

@@ -106,12 +106,6 @@ struct CellAggregate {
   double mean_measured_edges = 0.0;
   double mean_augmented_edges = 0.0;
   double mean_skipped_pairs = 0.0;
-  double total_wall_time_s = 0.0;  ///< excluded from deterministic emitters
-  /// Per-stage sums of the trials' wall-clock splits. Diagnostics only,
-  /// excluded from the emitters (see TrialOutcome::measure_wall_s).
-  double total_measure_wall_s = 0.0;
-  double total_solve_wall_s = 0.0;
-  double total_eval_wall_s = 0.0;
 };
 
 /// One sweep cell: its axis coordinates (name -> value, in axis order) and

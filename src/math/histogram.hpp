@@ -20,7 +20,6 @@ class Histogram {
   void add(double value);
   void add_all(const std::vector<double>& values);
 
-  std::size_t bin_count() const { return counts_.size(); }
   std::size_t count(std::size_t bin) const { return counts_.at(bin); }
   std::size_t underflow() const { return underflow_; }
   std::size_t overflow() const { return overflow_; }

@@ -1,6 +1,6 @@
 // Telemetry serialization: Chrome trace-event JSON (chrome://tracing and
 // Perfetto load it directly), a metrics report (JSON + plain text), and a
-// self-check validator for the emitted trace.
+// nesting check over the span events a trace is written from.
 //
 // Determinism split, stated explicitly in the report format: the
 // "deterministic" block carries counters and span counts (byte-identical per
@@ -29,12 +29,13 @@ std::string metrics_report_json(const TelemetrySnapshot& snap);
 /// Human-readable metrics summary (fixed-width tables) for stdout.
 std::string metrics_report_text(const TelemetrySnapshot& snap);
 
-/// Validates a Chrome trace produced by to_chrome_trace_json: well-formed
-/// JSON, a "traceEvents" array whose entries carry name/ph/ts/dur/pid/tid
-/// with ph == "X" and non-negative timings, and -- per tid -- events that
-/// nest properly (every pair of spans on a thread is either disjoint or
-/// contained; partial overlap means a corrupted trace). Returns true when
+/// Checks the span events to_chrome_trace_json would serialize: on each
+/// thread every span ends no earlier than it starts, and any two spans are
+/// disjoint or nested (partial overlap cannot come from call nesting and
+/// means corrupt telemetry). Intervals are compared in integer nanoseconds;
+/// the exporter's %.3f microsecond fields are exact to the nanosecond, so the
+/// written trace nests exactly when the snapshot does. Returns true when
 /// valid; otherwise fills `error` (when given) with the first problem found.
-bool validate_chrome_trace(const std::string& json, std::string* error = nullptr);
+bool check_span_nesting(const TelemetrySnapshot& snap, std::string* error = nullptr);
 
 }  // namespace resloc::obs

@@ -12,19 +12,6 @@ int nearest_bin(double tone_frequency_hz, double sample_rate_hz, std::size_t win
       std::lround(tone_frequency_hz / sample_rate_hz * static_cast<double>(window)));
 }
 
-double direct_bin_power(const double* samples, std::size_t count, std::size_t window, int bin,
-                        std::size_t phase0) {
-  double re = 0.0, im = 0.0;
-  const double step = 2.0 * resloc::math::kPi * static_cast<double>(bin) /
-                      static_cast<double>(window);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double angle = step * static_cast<double>((phase0 + i) % window);
-    re += samples[i] * std::cos(angle);
-    im -= samples[i] * std::sin(angle);
-  }
-  return re * re + im * im;
-}
-
 GoertzelSlidingFilter::GoertzelSlidingFilter(std::size_t window, int bin)
     : samples_(window, 0.0), cos_(window), sin_(window), bin_(bin) {
   assert(window > 0);

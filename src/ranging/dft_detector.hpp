@@ -71,12 +71,6 @@ class SlidingDftFilter {
 /// frequency (what a mote picks at compile time; exposed for tests/benches).
 int nearest_bin(double tone_frequency_hz, double sample_rate_hz, std::size_t window);
 
-/// Single-bin power |X_k|^2 of `count` samples by direct summation. `phase0`
-/// offsets the twiddle index (used to keep the absolute-phase convention of
-/// the sliding filters); the magnitude is phase-origin independent.
-double direct_bin_power(const double* samples, std::size_t count, std::size_t window, int bin,
-                        std::size_t phase0 = 0);
-
 /// Fast sliding single-bin filter: the Goertzel recurrence in its sliding
 /// form. With the twiddle phase anchored to the absolute sample index, the
 /// sample entering the window and the sample leaving it share one twiddle

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "math/constants.hpp"
 #include "obs/telemetry.hpp"
 #include "ranging/dft_detector.hpp"
 
@@ -294,24 +293,14 @@ RangingAttempt RangingService::measure(double true_distance_m,
 }
 
 void RangingService::prepare_goertzel(RangingScratch& scratch) const {
-  const std::size_t n = window_samples_;
-
-  // Tone table sin(2*pi*f*i/fs) and the Goertzel detector, cached in the
-  // scratch under the frequency they were built for; rebuilt only if the
-  // scratch migrates to a service with another chirp tone. The table's
-  // absolute phase is irrelevant to the single-bin power.
+  // The detector depends on the chirp tone only through its DFT bin, so it
+  // is rebuilt only when a scratch migrates to a service whose tone lands on
+  // another bin; otherwise one detector is reset and reused for every pair.
   const double frequency_hz = config_.pattern.tone_frequency_hz;
-  const bool retuned = scratch.tone_frequency_hz != frequency_hz;
-  if (retuned || scratch.tone_table.size() != n) {
-    scratch.tone_table.resize(n);
-    const double step = 2.0 * resloc::math::kPi * frequency_hz / acoustics::kSampleRateHz;
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.tone_table[i] = std::sin(step * static_cast<double>(i));
-    }
-  }
-  if (retuned || !scratch.goertzel) {
+  const int bin =
+      nearest_bin(frequency_hz, acoustics::kSampleRateHz, SlidingDftFilter::kWindow);
+  if (!scratch.goertzel || scratch.goertzel->bin() != bin) {
     scratch.goertzel.emplace(frequency_hz);
-    scratch.tone_frequency_hz = frequency_hz;
   } else {
     scratch.goertzel->reset();
   }
@@ -322,6 +311,10 @@ void RangingService::goertzel_window(const acoustics::ReceivedWindow& window,
                                      RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   prepare_goertzel(scratch);
+  // The chirp tone is the cached synthesis template, as in NCC mode; its
+  // absolute phase is irrelevant to the single-bin power.
+  const acoustics::ToneTemplateView tone = scratch.synth.tone_template_view(
+      acoustics::kSampleRateHz, config_.pattern.tone_frequency_hz, n);
 
   // Staged block kernels over contiguous buffers: envelope rasterization,
   // standard-normal noise fill, tone + noise mix (sigma * N(0, 1), which is
@@ -341,7 +334,7 @@ void RangingService::goertzel_window(const acoustics::ReceivedWindow& window,
   {
     RESLOC_SPAN("ranging/synthesis/tone");
     scratch.audio.resize(n);
-    acoustics::mix_tone_noise_block(scratch.amplitude.data(), scratch.tone_table.data(),
+    acoustics::mix_tone_noise_block(scratch.amplitude.data(), tone.sin_t,
                                     scratch.dsp.noise.data(), scratch.detector.burst.data(),
                                     kBurstNoiseSigma, scratch.audio.data(), n);
   }

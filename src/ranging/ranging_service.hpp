@@ -150,19 +150,17 @@ struct RangingScratch {
   /// reused across pairs.
   SignalScanner scanner;
   /// Sampled-audio modes: per-sample tone amplitudes. Goertzel mode: the
-  /// cached tone table sin(2*pi*f*i/fs) and the Goertzel detector itself.
-  /// The table and detector are keyed by the tone frequency they were built
-  /// for, so a scratch migrating between services with different chirp tones
-  /// rebuilds them instead of silently filtering the wrong band; within one
-  /// service they are built once and reused across every pair.
+  /// Goertzel detector, keyed by the DFT bin of the chirp tone it was built
+  /// for, so a scratch migrating between services whose tones land on
+  /// different bins rebuilds it instead of silently filtering the wrong band;
+  /// within one service it is built once and reused across every pair.
   std::vector<double> amplitude;
-  std::vector<double> tone_table;
-  double tone_frequency_hz = 0.0;
   std::optional<GoertzelToneDetector> goertzel;
-  /// The synthesized window audio, and in matched-filter mode the NCC scanner
-  /// and the template source. The synthesizer is the same engine the
-  /// synthesis path uses, so detection correlates against literally the
-  /// cached chirp tables.
+  /// The synthesized window audio, and in matched-filter mode the NCC
+  /// scanner. The synthesizer holds the chirp tone tables both sampled-audio
+  /// modes mix into the audio (and NCC correlates against); it is the same
+  /// engine the synthesis path uses, so detection and synthesis share one
+  /// definition of the chirp.
   std::vector<double> audio;
   std::optional<MatchedFilterNcc> ncc;
   acoustics::WaveformSynthesizer synth;

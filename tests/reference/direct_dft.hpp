@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
+#include "math/constants.hpp"
 #include "ranging/dft_detector.hpp"
 
 namespace resloc::reference {
@@ -30,7 +32,16 @@ class DirectDftFilter {
     samples_[n_] = sample;
     energy_ += sample * sample - old * old;
     n_ = (n_ + 1) % samples_.size();
-    return ranging::direct_bin_power(samples_.data(), samples_.size(), samples_.size(), bin_);
+    // |X_bin|^2 of the whole ring by direct summation.
+    const double twiddle = 2.0 * math::kPi * static_cast<double>(bin_) /
+                           static_cast<double>(samples_.size());
+    double re = 0.0, im = 0.0;
+    for (std::size_t i = 0; i < samples_.size(); ++i) {
+      const double angle = twiddle * static_cast<double>(i);
+      re += samples_[i] * std::cos(angle);
+      im -= samples_[i] * std::sin(angle);
+    }
+    return re * re + im * im;
   }
 
   /// Sum of squared samples in the current window (Parseval noise estimate).

@@ -161,6 +161,38 @@ TEST(AcousticRegression, SoftwareDetectorReusedScratchMatchesFreshScratch) {
   }
 }
 
+TEST(AcousticRegression, SoftwareDetectorRetunedScratchMatchesFreshScratch) {
+  // One scratch alternating between Goertzel services whose chirp tones land
+  // on different DFT bins (4.3 kHz -> bin 10, 4.0 kHz -> bin 9 of the 36-sample
+  // window) must rebuild its detector on every switch: each attempt equals
+  // the one a fresh scratch makes.
+  resloc::ranging::RangingConfig config_43;
+  config_43.detector_mode = resloc::ranging::DetectorMode::kGoertzel;
+  config_43.pattern.tone_frequency_hz = 4300.0;
+  resloc::ranging::RangingConfig config_40 = config_43;
+  config_40.pattern.tone_frequency_hz = 4000.0;
+  const resloc::ranging::RangingService service_43(config_43);
+  const resloc::ranging::RangingService service_40(config_40);
+  const resloc::acoustics::SpeakerUnit speaker;
+  const resloc::acoustics::MicUnit mic;
+  resloc::ranging::RangingScratch scratch;
+  int detected = 0;
+  for (int i = 0; i < 8; ++i) {
+    const resloc::ranging::RangingService& service = i % 2 == 0 ? service_43 : service_40;
+    Rng rng_a(91 + i);
+    Rng rng_b(91 + i);
+    resloc::ranging::RangingScratch fresh_scratch;
+    const auto fresh = service.measure(6.0, speaker, mic, rng_a, fresh_scratch);
+    const auto retuned = service.measure(6.0, speaker, mic, rng_b, scratch);
+    EXPECT_EQ(fresh.distance_m, retuned.distance_m) << "attempt " << i;
+    EXPECT_EQ(fresh.detection_index, retuned.detection_index) << "attempt " << i;
+    EXPECT_EQ(fresh.rejected_detections, retuned.rejected_detections) << "attempt " << i;
+    if (fresh.distance_m) ++detected;
+  }
+  // The comparison is only meaningful if the detector actually fires.
+  EXPECT_GE(detected, 6);
+}
+
 TEST(AcousticRegression, FieldExperimentSurfacesSkippedPairs) {
   // Two nodes 5 m apart plus one 200 m away: both far pairs must be counted
   // as skipped (once per unordered pair, not per round or direction), and the

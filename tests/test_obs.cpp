@@ -5,8 +5,9 @@
 //     report's "deterministic" block);
 //   - enabling telemetry does not change a single byte of the campaign's
 //     JSON/CSV aggregates;
-//   - the Chrome trace export is valid and properly nested across 8 threads,
-//     and the validator actually rejects malformed traces;
+//   - the Chrome trace export is byte-exact (escaping, nanosecond ts/dur),
+//     its spans nest properly across 8 threads, and the nesting check
+//     actually rejects overlapping and inverted spans;
 //   - the per-thread span cap drops loudly (dropped_spans), never silently;
 //   - recent_spans_this_thread returns the failure-report context in order.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -85,6 +87,20 @@ std::map<std::string, std::uint64_t> stage_counts(const obs::TelemetrySnapshot& 
     }
   }
   return out;
+}
+
+/// A hand-built snapshot with one ThreadSnapshot per event list (thread
+/// index = position) and span names "s0".."s3".
+obs::TelemetrySnapshot snapshot_of(std::vector<std::vector<obs::SpanEvent>> threads) {
+  obs::TelemetrySnapshot snap;
+  snap.span_names = {"s0", "s1", "s2", "s3"};
+  for (std::size_t t = 0; t < threads.size(); ++t) {
+    obs::ThreadSnapshot thread;
+    thread.thread_index = t;
+    thread.events = std::move(threads[t]);
+    snap.threads.push_back(std::move(thread));
+  }
+  return snap;
 }
 
 TEST_F(ObsTest, MeasureEmitsExactlyTheArchitectureSpanTree) {
@@ -210,7 +226,7 @@ TEST_F(ObsTest, SpanChainSharesOneClockReadPerBoundary) {
   EXPECT_EQ(snap.stage_total_ns("test/chain_a"), 200u);
   EXPECT_EQ(snap.stage_total_ns("test/chain_b"), 100u);
   std::string error;
-  EXPECT_TRUE(obs::validate_chrome_trace(obs::to_chrome_trace_json(snap), &error)) << error;
+  EXPECT_TRUE(obs::check_span_nesting(snap, &error)) << error;
 
   // Disabled at construction: inert.
   obs::reset();
@@ -300,9 +316,9 @@ TEST_F(ObsTest, TraceAcrossEightThreadsIsValidAndNested) {
   const obs::TelemetrySnapshot snap = obs::snapshot();
   EXPECT_EQ(snap.dropped_spans, 0u);
 
-  const std::string trace = obs::to_chrome_trace_json(snap);
   std::string error;
-  EXPECT_TRUE(obs::validate_chrome_trace(trace, &error)) << error;
+  EXPECT_TRUE(obs::check_span_nesting(snap, &error)) << error;
+  EXPECT_FALSE(obs::to_chrome_trace_json(snap).empty());
 
   // The metrics report renders from the same snapshot without tripping over
   // multi-thread data.
@@ -313,47 +329,45 @@ TEST_F(ObsTest, TraceAcrossEightThreadsIsValidAndNested) {
   EXPECT_FALSE(obs::metrics_report_text(snap).empty());
 }
 
-TEST_F(ObsTest, ValidatorRejectsMalformedTraces) {
+TEST_F(ObsTest, NestingCheckRejectsOverlappingAndInvertedSpans) {
   std::string error;
-  EXPECT_FALSE(obs::validate_chrome_trace("not json", &error));
-  EXPECT_FALSE(obs::validate_chrome_trace("{}", &error));
-  EXPECT_FALSE(obs::validate_chrome_trace(R"({"traceEvents": 3})", &error));
-  // Wrong phase.
-  EXPECT_FALSE(obs::validate_chrome_trace(
-      R"({"traceEvents": [{"name": "a", "cat": "resloc", "ph": "B", "pid": 1, "tid": 0, "ts": 0, "dur": 1}]})",
-      &error));
-  // Partial overlap on one thread: [0, 10) vs [5, 15) neither nests nor is
-  // disjoint -- a corrupted trace.
-  EXPECT_FALSE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 10},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 5, "dur": 10}]})",
-      &error));
-  // The same pair on *different* threads is fine.
-  EXPECT_TRUE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 10},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 1, "ts": 5, "dur": 10}]})",
-      &error))
+  // Siblings that touch nest inside their parent.
+  EXPECT_TRUE(obs::check_span_nesting(
+      snapshot_of({{{0, 0, 10'000}, {1, 1'000, 1'253}, {2, 1'253, 2'253}}}), &error))
       << error;
-  // Siblings that touch at nanosecond resolution nest, although 1.0 + 0.253
-  // rounds past 1.253 in double arithmetic; a 1 ns overlap does not.
-  EXPECT_TRUE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "p", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 10},)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.0, "dur": 0.253},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.253, "dur": 1}]})",
-      &error))
+  // A 1 ns overlap neither nests nor is disjoint -- corrupt telemetry.
+  EXPECT_FALSE(obs::check_span_nesting(snapshot_of({{{1, 1'000, 1'254}, {2, 1'253, 2'253}}}),
+                                       &error));
+  EXPECT_NE(error.find("partially overlap"), std::string::npos) << error;
+  // The same pair on two threads is fine.
+  EXPECT_TRUE(obs::check_span_nesting(snapshot_of({{{1, 1'000, 1'254}}, {{2, 1'253, 2'253}}}),
+                                      &error))
       << error;
-  EXPECT_FALSE(obs::validate_chrome_trace(
-      R"({"traceEvents": [)"
-      R"({"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.0, "dur": 0.254},)"
-      R"({"name": "b", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1.253, "dur": 1}]})",
-      &error));
-  // Timestamps too large to convert to nanoseconds are rejected.
-  EXPECT_FALSE(obs::validate_chrome_trace(
-      R"({"traceEvents": [{"name": "a", "cat": "resloc", "ph": "X", "pid": 1, "tid": 0, "ts": 1e300, "dur": 1}]})",
-      &error));
+  // A span that ends before it starts.
+  EXPECT_FALSE(obs::check_span_nesting(snapshot_of({{{0, 500, 499}}}), &error));
+  EXPECT_NE(error.find("ends before it starts"), std::string::npos) << error;
+}
+
+TEST_F(ObsTest, ChromeTraceBytesAreExact) {
+  // Names exercise every escape the exporter writes; timestamps sit an hour
+  // past the earliest event to show ts and dur stay exact to the nanosecond.
+  obs::TelemetrySnapshot snap =
+      snapshot_of({{{0, 1'000'000'123, 1'000'002'376}, {1, 1'000'000'500, 1'000'001'000}},
+                   {{2, 1'000'000'124, 1'000'000'125}, {3, 3'601'000'000'124, 3'601'000'001'123}}});
+  snap.span_names = {"say \"hi\"", "back\\slash", "cr\rhere", "ctl\x01"};
+  snap.threads[1].thread_index = 3;
+  EXPECT_TRUE(obs::check_span_nesting(snap));
+  EXPECT_EQ(obs::to_chrome_trace_json(snap),
+            "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n"
+            "    {\"name\": \"say \\\"hi\\\"\", \"cat\": \"resloc\", \"ph\": \"X\", \"pid\": 1, "
+            "\"tid\": 0, \"ts\": 0.000, \"dur\": 2.253},\n"
+            "    {\"name\": \"back\\\\slash\", \"cat\": \"resloc\", \"ph\": \"X\", \"pid\": 1, "
+            "\"tid\": 0, \"ts\": 0.377, \"dur\": 0.500},\n"
+            "    {\"name\": \"cr\\u000dhere\", \"cat\": \"resloc\", \"ph\": \"X\", \"pid\": 1, "
+            "\"tid\": 3, \"ts\": 0.001, \"dur\": 0.001},\n"
+            "    {\"name\": \"ctl\\u0001\", \"cat\": \"resloc\", \"ph\": \"X\", \"pid\": 1, "
+            "\"tid\": 3, \"ts\": 3600000000.001, \"dur\": 0.999}\n"
+            "  ]\n}\n");
 }
 
 TEST_F(ObsTest, SpanCapDropsLoudly) {
@@ -372,9 +386,9 @@ TEST_F(ObsTest, SpanCapDropsLoudly) {
   for (const obs::ThreadSnapshot& t : snap.threads) retained += t.events.size();
   EXPECT_EQ(retained, 4u);
   EXPECT_EQ(snap.dropped_spans, 6u);
-  // The capped trace still exports and validates.
+  // The capped trace still nests.
   std::string error;
-  EXPECT_TRUE(obs::validate_chrome_trace(obs::to_chrome_trace_json(snap), &error)) << error;
+  EXPECT_TRUE(obs::check_span_nesting(snap, &error)) << error;
 }
 
 TEST_F(ObsTest, RecentSpansGiveFailureContextInOrder) {
