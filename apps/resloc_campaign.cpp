@@ -151,6 +151,24 @@ std::map<std::string, NamedSweep> sweep_catalog() {
     spec.base.lss.init_box_m = 130.0;  // uniform_n at n=100 spans ~120 m
     catalog["scale_smoke"] = {"node_counts x solver smoke cut of 'scale' (4 trials, CI)", spec};
   }
+  {  // Section 4.3 distributed LSS on two geometries, anchor-free: every node
+     // builds a mote-grade local map (the perfbench `distributed` budget),
+     // then the maps are aligned outward from node 0. CI runs the
+     // 1-vs-8-thread byte-identity check on exactly these cells.
+    SweepSpec spec = synthetic_base("distributed_smoke");
+    spec.trials_per_cell = 2;
+    spec.axes.scenarios = {"grass_grid", "town"};
+    spec.axes.solvers = {Solver::kDistributedLss};
+    spec.axes.anchor_counts = {0};
+    resloc::core::LssOptions& local = spec.base.distributed.local_lss;
+    local.min_spacing_m = 9.0;
+    local.independent_inits = 6;
+    local.restarts.rounds = 2;
+    local.gd.max_iterations = 1500;
+    local.target_stress_per_edge = 0.3;
+    catalog["distributed_smoke"] = {
+        "distributed LSS on {grass_grid, town}, anchor-free (4 trials, CI)", spec};
+  }
   {  // The full acoustic ranging stack at the large-scale tier: the same
      // {campus_500, city_1000} x solver grid as 'scale', but every trial runs
      // the complete Section 3 campaign (chirps, accumulation, filtering,
