@@ -1,8 +1,9 @@
 #include "core/alignment_protocol.hpp"
 
-#include <cmath>
 #include <map>
 #include <memory>
+
+#include "math/rng.hpp"
 
 namespace resloc::core {
 
@@ -50,13 +51,12 @@ LocalMap decode_map(NodeId owner, const std::vector<double>& payload) {
 
 class AlignmentApp : public resloc::net::NodeApp {
  public:
-  AlignmentApp(LocalMap own_map, bool is_root, const DistributedLssOptions& options,
-               ProtocolState& state, resloc::math::Rng rng)
+  AlignmentApp(LocalMap own_map, bool is_root, double max_transform_rmse_m,
+               ProtocolState& state)
       : own_map_(std::move(own_map)),
         is_root_(is_root),
-        options_(options),
-        state_(state),
-        rng_(std::move(rng)) {}
+        max_transform_rmse_m_(max_transform_rmse_m),
+        state_(state) {}
 
   void on_start(Network& net, resloc::net::NodeId self) override {
     // Phase A: stagger local-map broadcasts so the shared medium is not
@@ -92,26 +92,11 @@ class AlignmentApp : public resloc::net::NodeApp {
 
  private:
   void handle_map(NodeId sender, const std::vector<double>& payload) {
-    const LocalMap sender_map = decode_map(sender, payload);
     // Only neighbors (nodes in our own map) matter for alignment.
     if (!own_map_.coord_of(sender).has_value() && sender != own_map_.owner) return;
-
-    const std::vector<NodeId> shared = sender_map.shared_members(own_map_);
-    if (shared.size() < kMinSharedMembers) return;
-
-    std::vector<Vec2> source;  // sender frame
-    std::vector<Vec2> target;  // own frame
-    for (NodeId m : shared) {
-      source.push_back(*sender_map.coord_of(m));
-      target.push_back(*own_map_.coord_of(m));
-    }
-    const TransformEstimate estimate =
-        estimate_transform(source, target, options_.method, rng_);
-    if (!estimate.valid) return;
-    const double rmse =
-        std::sqrt(estimate.sum_squared_error / static_cast<double>(shared.size()));
-    if (rmse > options_.max_transform_rmse_m) return;
-    from_sender_[sender] = estimate.transform;
+    const auto from_sender =
+        pairwise_transform(decode_map(sender, payload), own_map_, max_transform_rmse_m_);
+    if (from_sender) from_sender_[sender] = *from_sender;
   }
 
   void handle_alignment(Network& net, resloc::net::NodeId self, NodeId sender,
@@ -149,9 +134,8 @@ class AlignmentApp : public resloc::net::NodeApp {
 
   LocalMap own_map_;
   bool is_root_;
-  DistributedLssOptions options_;
+  double max_transform_rmse_m_;
   ProtocolState& state_;
-  resloc::math::Rng rng_;
   std::map<NodeId, Transform2D> from_sender_;
   bool aligned_ = false;
 };
@@ -167,12 +151,11 @@ AlignmentProtocolResult run_alignment_protocol(const std::vector<LocalMap>& maps
   ProtocolState state;
   state.computed.assign(n, std::nullopt);
 
-  resloc::math::Rng master(seed);
-  Network net(radio, master.split());
+  Network net(radio, resloc::math::Rng(seed).split());
   for (NodeId id = 0; id < n; ++id) {
     net.add_node(true_positions[id],
-                 std::make_unique<AlignmentApp>(maps[id], id == root, options, state,
-                                                master.split()));
+                 std::make_unique<AlignmentApp>(maps[id], id == root,
+                                                options.max_transform_rmse_m, state));
   }
   net.start();
   net.run();

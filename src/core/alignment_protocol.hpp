@@ -19,7 +19,6 @@
 #include "core/distributed_lss.hpp"
 #include "core/local_map.hpp"
 #include "core/types.hpp"
-#include "math/rng.hpp"
 #include "net/network.hpp"
 
 namespace resloc::core {

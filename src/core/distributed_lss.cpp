@@ -1,7 +1,8 @@
 #include "core/distributed_lss.hpp"
 
-#include <cmath>
 #include <deque>
+
+#include "math/procrustes.hpp"
 
 namespace resloc::core {
 
@@ -17,12 +18,28 @@ DistributedLssResult localize_distributed(const MeasurementSet& measurements, No
   for (NodeId node = 0; node < n; ++node) {
     maps.push_back(build_local_map(node, measurements, options.local_lss, rng));
   }
-  return align_local_maps(std::move(maps), root, options, rng);
+  return align_local_maps(std::move(maps), root, options);
+}
+
+std::optional<Transform2D> pairwise_transform(const LocalMap& source, const LocalMap& target,
+                                              double max_rmse_m) {
+  const std::vector<NodeId> shared = source.shared_members(target);
+  if (shared.size() < kMinSharedMembers) return std::nullopt;
+  std::vector<Vec2> from;
+  std::vector<Vec2> to;
+  from.reserve(shared.size());
+  to.reserve(shared.size());
+  for (NodeId m : shared) {
+    from.push_back(*source.coord_of(m));
+    to.push_back(*target.coord_of(m));
+  }
+  const auto fit = resloc::math::fit_rigid(from, to, /*allow_reflection=*/true);
+  if (!fit.valid || resloc::math::fit_rmse(fit, shared.size()) > max_rmse_m) return std::nullopt;
+  return fit.transform;
 }
 
 DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
-                                      const DistributedLssOptions& options,
-                                      resloc::math::Rng& rng) {
+                                      const DistributedLssOptions& options) {
   DistributedLssResult out;
   const std::size_t n = maps.size();
   out.result.positions.assign(n, std::nullopt);
@@ -51,28 +68,12 @@ DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
       const LocalMap& child_map = maps[child];
       if (child_map.owner != child) continue;
 
-      // Shared members with coordinates in both local frames.
-      const std::vector<NodeId> shared = child_map.shared_members(parent_map);
-      if (shared.size() < kMinSharedMembers) continue;
-
-      std::vector<Vec2> source;  // child frame
-      std::vector<Vec2> target;  // parent frame
-      source.reserve(shared.size());
-      target.reserve(shared.size());
-      for (NodeId m : shared) {
-        source.push_back(*child_map.coord_of(m));
-        target.push_back(*parent_map.coord_of(m));
-      }
-
-      const TransformEstimate estimate =
-          estimate_transform(source, target, options.method, rng);
-      if (!estimate.valid) continue;
-      const double rmse =
-          std::sqrt(estimate.sum_squared_error / static_cast<double>(shared.size()));
-      if (rmse > options.max_transform_rmse_m) continue;
+      const auto to_parent =
+          pairwise_transform(child_map, parent_map, options.max_transform_rmse_m);
+      if (!to_parent) continue;
 
       // child frame -> parent frame -> root frame.
-      out.to_root[child] = estimate.transform.then(*out.to_root[parent]);
+      out.to_root[child] = to_parent->then(*out.to_root[parent]);
       out.alignment_order.push_back(child);
       frontier.push_back(child);
     }

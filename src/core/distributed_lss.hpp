@@ -5,16 +5,17 @@
 // the mote protocol computes, with alignment propagating outward from the
 // root along a breadth-first tree of neighbor relations (the network flood of
 // Step 3 explores the same edges). The event-driven implementation on the
-// network simulator lives in alignment_protocol.hpp; the two agree when given
-// the same local maps and transform method.
+// network simulator lives in alignment_protocol.hpp; both fit each pairwise
+// transform with pairwise_transform below, so the two agree when given the
+// same local maps.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "core/local_map.hpp"
-#include "core/transform_estimation.hpp"
 #include "core/types.hpp"
+#include "math/transform2d.hpp"
 
 namespace resloc::core {
 
@@ -27,9 +28,6 @@ struct DistributedLssOptions {
   /// LSS settings for the per-node local maps (the soft constraint applies
   /// within each neighborhood too).
   LssOptions local_lss;
-
-  /// Transform estimation method (Section 4.3.1 offers both).
-  TransformMethod method = TransformMethod::kClosedForm;
 
   /// Reject a pairwise transform whose per-shared-member RMS residual
   /// exceeds this (meters); large residuals signal a folded local map whose
@@ -58,10 +56,21 @@ DistributedLssResult localize_distributed(const MeasurementSet& measurements, No
                                           const DistributedLssOptions& options,
                                           resloc::math::Rng& rng);
 
-/// Alignment-only entry point over prebuilt local maps (used by tests, the
-/// event-driven protocol, and the ablation benches).
+/// Steps 2 and 3 over prebuilt local maps: the second half of
+/// localize_distributed, also called by tests on hand-edited maps. Draws no
+/// randomness: every pairwise transform is closed form.
 DistributedLssResult align_local_maps(std::vector<LocalMap> maps, NodeId root,
-                                      const DistributedLssOptions& options,
-                                      resloc::math::Rng& rng);
+                                      const DistributedLssOptions& options);
+
+/// Step 2 of Section 4.3.1 for one pair of neighbors: the rigid transform
+/// mapping `source`'s local frame onto `target`'s, fitted on the members the
+/// two maps share. The paper offers an exact minimization and a closed form
+/// and runs the closed form on motes; so does this (math::fit_rigid with
+/// reflection allowed). Returns nullopt when the maps share fewer than
+/// kMinSharedMembers or the fit's per-shared-member RMS residual exceeds
+/// `max_rmse_m`. Both alignment paths call this.
+std::optional<resloc::math::Transform2D> pairwise_transform(const LocalMap& source,
+                                                            const LocalMap& target,
+                                                            double max_rmse_m);
 
 }  // namespace resloc::core

@@ -39,12 +39,11 @@ struct LssOptions {
   /// (default 70 m, covering the ~63 m grass-grid extent).
   double init_box_m = 70.0;
 
-  /// Gradient-descent tuning (Equation 1 with adaptive step).
+  /// Gradient-descent tuning (Equation 1 with a backtracking step).
   resloc::math::GradientDescentOptions gd{.step_size = 1e-3,
                                           .max_iterations = 4000,
                                           .relative_tolerance = 1e-12,
                                           .gradient_tolerance = 1e-7,
-                                          .adaptive = true,
                                           .record_trace = false};
 
   /// Perturbation-restart schedule (Section 4.2.1: each round reseeds from

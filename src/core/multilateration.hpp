@@ -55,7 +55,6 @@ struct MultilaterationOptions {
                                           .max_iterations = 2000,
                                           .relative_tolerance = 1e-12,
                                           .gradient_tolerance = 1e-9,
-                                          .adaptive = true,
                                           .record_trace = false};
   resloc::math::RestartOptions restarts{.rounds = 3, .perturbation_stddev = 2.0};
 };

@@ -6,26 +6,13 @@
 #include <limits>
 
 #include "math/stats.hpp"
+#include "obs/trace_export.hpp"
 
 namespace resloc::eval {
 
-namespace {
+using resloc::obs::json_escape;
 
-// JSON string escaping for the small character set our labels may contain.
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
+namespace {
 
 // The resilience statistics (failed_trials, coverage, degraded rate) are
 // emitted only for campaigns that sweep a fault axis: appending columns to
@@ -147,7 +134,7 @@ std::string campaign_to_json(const std::string& sweep_name, std::uint64_t seed,
   const bool resilience_fields = has_fault_axes(cells);
   std::string out;
   out += "{\n";
-  out += "  \"sweep\": \"" + escape_json(sweep_name) + "\",\n";
+  out += "  \"sweep\": \"" + json_escape(sweep_name) + "\",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -156,8 +143,8 @@ std::string campaign_to_json(const std::string& sweep_name, std::uint64_t seed,
     out += "    {\n      \"axes\": {";
     for (std::size_t a = 0; a < cell.axes.size(); ++a) {
       if (a != 0) out += ", ";
-      out += "\"" + escape_json(cell.axes[a].first) + "\": \"" +
-             escape_json(cell.axes[a].second) + "\"";
+      out += "\"" + json_escape(cell.axes[a].first) + "\": \"" +
+             json_escape(cell.axes[a].second) + "\"";
     }
     out += "},\n";
     const CellAggregate& g = cell.aggregate;

@@ -87,7 +87,7 @@ double FaultInjector::corrupt_distance(int round, core::NodeId source,
   math::Rng stream =
       base_.fork(kCorruptTag).fork(pair_key(round, source, receiver));
   if (!stream.bernoulli(plan_.corrupt_distance_rate)) return measured_m;
-  if (stream.uniform() < plan_.corrupt_nan_fraction) {
+  if (stream.uniform() < kCorruptNanFraction) {
     return std::numeric_limits<double>::quiet_NaN();
   }
   // Multiplicative outlier, always an overestimate: the physical signature

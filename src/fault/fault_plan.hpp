@@ -36,6 +36,10 @@ namespace resloc::fault {
 /// an overestimate, up to 5x.
 inline constexpr double kOutlierScale = 4.0;
 
+/// Of the corrupted estimates, the fraction replaced by NaN; the rest become
+/// multiplicative outliers (see kOutlierScale).
+inline constexpr double kCorruptNanFraction = 0.5;
+
 /// Per-campaign fault configuration. All rates default to 0 (no faults).
 struct FaultPlan {
   // --- Network faults (consumed via apply_to_radio / net::Network). ---
@@ -68,11 +72,8 @@ struct FaultPlan {
   /// Probability a directed ranging attempt produces nothing at all.
   double missed_chirp_rate = 0.0;
   /// Probability a successful estimate is corrupted before it reaches the
-  /// filters.
+  /// filters (NaN or an outlier, see kCorruptNanFraction).
   double corrupt_distance_rate = 0.0;
-  /// Of the corruptions, the fraction replaced by NaN; the rest become
-  /// multiplicative outliers (see kOutlierScale).
-  double corrupt_nan_fraction = 0.5;
 
   /// True when any fault can fire. The inert default plan keeps every
   /// existing byte-stream untouched (the injector draws nothing).

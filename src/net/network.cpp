@@ -66,8 +66,8 @@ void Network::broadcast(NodeId sender, Message message) {
     if (d > radio_.range_m) continue;
     if (rng_.bernoulli(radio_.loss_probability)) continue;
 
-    const double jitter = std::abs(rng_.gaussian(0.0, radio_.jitter_stddev_s));
-    const double delay = radio_.base_latency_s + jitter;
+    const double jitter = std::abs(rng_.gaussian(0.0, kJitterStddevS));
+    const double delay = kBaseLatencyS + jitter;
     events_.schedule_after(delay, [this, receiver, message, d]() {
       Reception reception;
       reception.message = message;

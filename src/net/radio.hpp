@@ -39,15 +39,16 @@ struct Reception {
   double rssi_distance_hint = 0.0;  ///< true sender-receiver distance (physics, not visible to protocols that shouldn't use it)
 };
 
-/// Radio timing/coverage parameters.
+/// Deterministic part of delta_xmit (encoding + propagation + decoding).
+inline constexpr double kBaseLatencyS = 2e-3;
+/// Std-dev of the residual delivery jitter after MAC-layer timestamping.
+/// FTSP reduces this to the order of microseconds.
+inline constexpr double kJitterStddevS = 5e-6;
+
+/// Radio coverage and loss parameters.
 struct RadioParams {
   /// Communication range in meters (MICA2 outdoor ranges are tens of m).
   double range_m = 60.0;
-  /// Deterministic part of delta_xmit (encoding + propagation + decoding).
-  double base_latency_s = 2e-3;
-  /// Std-dev of the residual delivery jitter after MAC-layer timestamping.
-  /// FTSP reduces this to the order of microseconds.
-  double jitter_stddev_s = 5e-6;
   /// Probability an in-range receiver misses the message entirely.
   double loss_probability = 0.0;
   /// Rate (events/s of sim time) at which whole-network loss bursts start.

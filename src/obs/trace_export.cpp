@@ -8,8 +8,6 @@
 
 namespace resloc::obs {
 
-namespace {
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -33,6 +31,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string fmt_us(double us) {
   char buf[64];

@@ -15,6 +15,11 @@
 
 namespace resloc::obs {
 
+/// Escapes `s` for a JSON string body (RFC 8259): quote and backslash, \n
+/// and \t by name, every other control byte below 0x20 as \u00XX. Shared
+/// by every JSON writer in the project.
+std::string json_escape(const std::string& s);
+
 /// Serializes the snapshot's span events as a Chrome trace-event JSON object
 /// ({"traceEvents": [...]}): one complete ("ph": "X") event per span, pid 1,
 /// tid = thread registration index, timestamps in microseconds relative to

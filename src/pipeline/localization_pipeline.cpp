@@ -23,19 +23,16 @@ LocalizationPipeline::LocalizationPipeline(PipelineConfig config) : config_(std:
 core::MeasurementSet LocalizationPipeline::measure(const core::Deployment& deployment,
                                                    resloc::math::Rng& rng,
                                                    std::size_t* augmented_edges,
-                                                   std::size_t* skipped_pairs,
-                                                   double* mean_abs_detection_offset) const {
+                                                   std::size_t* skipped_pairs) const {
   RESLOC_SPAN("pipeline/measure");
   core::MeasurementSet measurements;
   std::size_t skipped = 0;
-  double offset_samples = 0.0;
   switch (config_.source) {
     case MeasurementSource::kAcousticRanging: {
       const sim::FieldExperimentData data =
           sim::run_field_experiment(deployment, config_.campaign, rng);
       measurements = data.to_measurement_set(deployment.size());
       skipped = data.skipped_pairs;
-      offset_samples = data.mean_abs_detection_offset_samples();
       break;
     }
     case MeasurementSource::kSyntheticGaussian:
@@ -45,9 +42,6 @@ core::MeasurementSet LocalizationPipeline::measure(const core::Deployment& deplo
   measurements.set_node_count(deployment.size());
   if (skipped_pairs != nullptr) {
     *skipped_pairs = skipped;
-  }
-  if (mean_abs_detection_offset != nullptr) {
-    *mean_abs_detection_offset = offset_samples;
   }
 
   std::size_t added = 0;
@@ -65,16 +59,13 @@ PipelineRun LocalizationPipeline::run(const core::Deployment& deployment,
                                       resloc::math::Rng& rng) const {
   std::size_t augmented = 0;
   std::size_t skipped = 0;
-  double offset_samples = 0.0;
   const auto measure_start = std::chrono::steady_clock::now();
-  core::MeasurementSet measurements =
-      measure(deployment, rng, &augmented, &skipped, &offset_samples);
+  core::MeasurementSet measurements = measure(deployment, rng, &augmented, &skipped);
   const double measure_wall_s = seconds_since(measure_start);
   PipelineRun out = run_on_measurements(deployment, std::move(measurements), rng);
   out.measure_wall_s = measure_wall_s;
   out.augmented_edges = augmented;
   out.skipped_pairs = skipped;
-  out.mean_abs_detection_offset_samples = offset_samples;
   return out;
 }
 

@@ -311,33 +311,12 @@ void RangingService::goertzel_window(const acoustics::ReceivedWindow& window,
                                      RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
   prepare_goertzel(scratch);
-  // The chirp tone is the cached synthesis template, as in NCC mode; its
-  // absolute phase is irrelevant to the single-bin power.
-  const acoustics::ToneTemplateView tone = scratch.synth.tone_template_view(
-      acoustics::kSampleRateHz, config_.pattern.tone_frequency_hz, n);
-
-  // Staged block kernels over contiguous buffers: envelope rasterization,
-  // standard-normal noise fill, tone + noise mix (sigma * N(0, 1), which is
-  // gaussian(0, sigma) bit for bit), Goertzel metric, then thresholding. The
+  synthesize_window(window, mic, rng, scratch);
+  // The tone's absolute phase is irrelevant to the single-bin power. The
   // metric at step i covers samples (i - kWindow, i], so the series is
   // shifted left by the half-window group delay to line onsets up with the
   // hardware detector's per-sample convention; the residual latency is
   // within the actuation-jitter budget.
-  {
-    RESLOC_SPAN("ranging/synthesis/envelope");
-    rasterize_window_envelope(window, mic, scratch);
-  }
-  {
-    RESLOC_SPAN("ranging/synthesis/noise");
-    rng.fill_gaussian_block(scratch.dsp.noise.data(), n);
-  }
-  {
-    RESLOC_SPAN("ranging/synthesis/tone");
-    scratch.audio.resize(n);
-    acoustics::mix_tone_noise_block(scratch.amplitude.data(), tone.sin_t,
-                                    scratch.dsp.noise.data(), scratch.detector.burst.data(),
-                                    kBurstNoiseSigma, scratch.audio.data(), n);
-  }
   RESLOC_SPAN("ranging/detection/goertzel");
   scratch.goertzel->run_block(scratch.audio.data(), n, scratch.dsp.metric.data());
   constexpr std::size_t kGroupDelay = SlidingDftFilter::kWindow / 2;
@@ -353,67 +332,60 @@ void RangingService::goertzel_window(const acoustics::ReceivedWindow& window,
 void RangingService::ncc_window(const acoustics::ReceivedWindow& window,
                                 const acoustics::MicUnit& mic, resloc::math::Rng& rng,
                                 RangingScratch& scratch) const {
+  const acoustics::ToneTemplateView tpl = synthesize_window(window, mic, rng, scratch);
+  // The scanner's prefix-sum buffers are reused across pairs.
+  if (!scratch.ncc) scratch.ncc.emplace();
+  const auto chirp_samples = static_cast<std::size_t>(
+      std::llround(config_.pattern.chirp_duration_s * acoustics::kSampleRateHz));
+  RESLOC_SPAN("ranging/detection/ncc");
+  scratch.ncc->detect_into(scratch.audio.data(), window_samples_, chirp_samples, tpl,
+                           scratch.dsp.fired.data());
+}
+
+acoustics::ToneTemplateView RangingService::synthesize_window(
+    const acoustics::ReceivedWindow& window, const acoustics::MicUnit& mic,
+    resloc::math::Rng& rng, RangingScratch& scratch) const {
   const std::size_t n = window_samples_;
-  const double fs = acoustics::kSampleRateHz;
-  const double frequency_hz = config_.pattern.tone_frequency_hz;
-
   {
+    // Rasterize the audible intervals into a per-sample tone envelope (and
+    // the bursts into a noise-floor flag) via the same exact contiguous spans
+    // the hardware model uses, so all paths share one interval->sample
+    // convention.
     RESLOC_SPAN("ranging/synthesis/envelope");
-    rasterize_window_envelope(window, mic, scratch);
+    const double dt = 1.0 / acoustics::kSampleRateHz;
+    scratch.amplitude.assign(n, mic.faulty ? kFaultyMicLeakAmplitude : 0.0);
+    for (const acoustics::SignalInterval& s : window.signals) {
+      const double amp = amplitude_from_snr_db(s.snr_db);
+      const acoustics::SampleSpan span =
+          acoustics::interval_sample_span(window.start_s, dt, n, s.start_s, s.end_s);
+      for (std::size_t i = span.lo; i < span.hi; ++i) {
+        scratch.amplitude[i] = std::max(scratch.amplitude[i], amp);
+      }
+    }
+    scratch.detector.burst.assign(n, 0);
+    for (const acoustics::NoiseBurst& b : window.bursts) {
+      const acoustics::SampleSpan span =
+          acoustics::interval_sample_span(window.start_s, dt, n, b.start_s, b.end_s);
+      std::fill(scratch.detector.burst.begin() + static_cast<std::ptrdiff_t>(span.lo),
+                scratch.detector.burst.begin() + static_cast<std::ptrdiff_t>(span.hi),
+                std::uint8_t{1});
+    }
   }
-
-  const acoustics::ToneTemplateView tpl = scratch.synth.tone_template_view(fs, frequency_hz, n);
-
-  // Same synthesis as the Goertzel path (one gaussian per sample), so
-  // switching detector modes never shifts any other draw in the campaign.
+  const acoustics::ToneTemplateView tone = scratch.synth.tone_template_view(
+      acoustics::kSampleRateHz, config_.pattern.tone_frequency_hz, n);
   {
     RESLOC_SPAN("ranging/synthesis/noise");
     rng.fill_gaussian_block(scratch.dsp.noise.data(), n);
   }
   {
+    // sigma * N(0, 1) is gaussian(0, sigma) bit for bit.
     RESLOC_SPAN("ranging/synthesis/tone");
     scratch.audio.resize(n);
-    acoustics::mix_tone_noise_block(scratch.amplitude.data(), tpl.sin_t,
+    acoustics::mix_tone_noise_block(scratch.amplitude.data(), tone.sin_t,
                                     scratch.dsp.noise.data(), scratch.detector.burst.data(),
                                     kBurstNoiseSigma, scratch.audio.data(), n);
   }
-
-  // The scanner's prefix-sum buffers are reused across pairs.
-  if (!scratch.ncc) scratch.ncc.emplace();
-  const auto chirp_samples =
-      static_cast<std::size_t>(std::llround(config_.pattern.chirp_duration_s * fs));
-  {
-    RESLOC_SPAN("ranging/detection/ncc");
-    scratch.ncc->detect_into(scratch.audio.data(), n, chirp_samples, tpl,
-                             scratch.dsp.fired.data());
-  }
-}
-
-void RangingService::rasterize_window_envelope(const acoustics::ReceivedWindow& window,
-                                               const acoustics::MicUnit& mic,
-                                               RangingScratch& scratch) const {
-  // Rasterize the audible intervals into a per-sample tone envelope (and the
-  // bursts into a noise-floor flag) via the same exact contiguous spans the
-  // hardware model uses, so all paths share one interval->sample convention.
-  const std::size_t n = window_samples_;
-  const double dt = 1.0 / acoustics::kSampleRateHz;
-  scratch.amplitude.assign(n, mic.faulty ? kFaultyMicLeakAmplitude : 0.0);
-  for (const acoustics::SignalInterval& s : window.signals) {
-    const double amp = amplitude_from_snr_db(s.snr_db);
-    const acoustics::SampleSpan span =
-        acoustics::interval_sample_span(window.start_s, dt, n, s.start_s, s.end_s);
-    for (std::size_t i = span.lo; i < span.hi; ++i) {
-      scratch.amplitude[i] = std::max(scratch.amplitude[i], amp);
-    }
-  }
-  scratch.detector.burst.assign(n, 0);
-  for (const acoustics::NoiseBurst& b : window.bursts) {
-    const acoustics::SampleSpan span =
-        acoustics::interval_sample_span(window.start_s, dt, n, b.start_s, b.end_s);
-    std::fill(scratch.detector.burst.begin() + static_cast<std::ptrdiff_t>(span.lo),
-              scratch.detector.burst.begin() + static_cast<std::ptrdiff_t>(span.hi),
-              std::uint8_t{1});
-  }
+  return tone;
 }
 
 }  // namespace resloc::ranging

@@ -201,14 +201,14 @@ class RangingService {
   const RangingConfig& config() const { return config_; }
 
  private:
-  /// Section 3.7 path: envelope -> noise -> tone-mix -> Goertzel blocks over
+  /// Section 3.7 path: synthesize_window, then the Goertzel block over
   /// scratch.dsp, the group-delay-compensated binary series into
   /// scratch.dsp.fired.
   void goertzel_window(const acoustics::ReceivedWindow& window, const acoustics::MicUnit& mic,
                        resloc::math::Rng& rng, RangingScratch& scratch) const;
 
-  /// Matched-filter path: the same synthesis blocks, then NCC-picked chirp
-  /// onsets marked into scratch.dsp.fired.
+  /// Matched-filter path: synthesize_window, then NCC-picked chirp onsets
+  /// marked into scratch.dsp.fired.
   void ncc_window(const acoustics::ReceivedWindow& window, const acoustics::MicUnit& mic,
                   resloc::math::Rng& rng, RangingScratch& scratch) const;
 
@@ -216,11 +216,18 @@ class RangingService {
   /// for this service and resets the detector for a fresh window.
   void prepare_goertzel(RangingScratch& scratch) const;
 
-  /// Shared by both sampled-audio paths: rasterizes the window's signal
-  /// intervals into scratch.amplitude and its noise bursts into
-  /// scratch.detector.burst. Consumes no randomness.
-  void rasterize_window_envelope(const acoustics::ReceivedWindow& window,
-                                 const acoustics::MicUnit& mic, RangingScratch& scratch) const;
+  /// The one synthesis path of both sampled-audio detectors, as staged block
+  /// kernels over contiguous buffers: the window's signal intervals
+  /// rasterized into scratch.amplitude and its noise bursts into
+  /// scratch.detector.burst (consumes no randomness), one standard normal per
+  /// sample into scratch.dsp.noise, then the tone + noise mix into
+  /// scratch.audio. Every mode draws the same normals, so switching detector
+  /// modes never shifts any other draw in the campaign. Returns the cached
+  /// chirp-tone template the audio was mixed from.
+  acoustics::ToneTemplateView synthesize_window(const acoustics::ReceivedWindow& window,
+                                                const acoustics::MicUnit& mic,
+                                                resloc::math::Rng& rng,
+                                                RangingScratch& scratch) const;
 
   RangingConfig config_;
   std::size_t window_samples_;

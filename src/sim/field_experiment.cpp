@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -66,19 +65,6 @@ std::vector<double> FieldExperimentData::raw_errors() const {
   errors.reserve(samples.size());
   for (const auto& s : samples) errors.push_back(s.measured_m - s.true_distance_m);
   return errors;
-}
-
-double FieldExperimentData::mean_abs_detection_offset_samples() const {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (const auto& s : samples) {
-    // Injected NaN corruption yields a non-finite offset; one poisoned
-    // sample must not turn the whole campaign diagnostic into NaN.
-    if (!std::isfinite(s.detection_offset_samples)) continue;
-    sum += std::abs(s.detection_offset_samples);
-    ++count;
-  }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
 }
 
 FieldExperimentData run_field_experiment(const resloc::core::Deployment& deployment,
@@ -227,14 +213,11 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
   std::size_t estimate_count = 0;
   for (const auto& turn : turns) estimate_count += turn.size();
   data.samples.reserve(estimate_count);
-  const double samples_per_meter =
-      resloc::acoustics::kSampleRateHz / resloc::acoustics::kSpeedOfSoundMps;
   for (std::size_t turn = 0; turn < num_turns; ++turn) {
     const auto source = static_cast<NodeId>(turn % n);
     for (const TurnEstimate& e : turns[turn]) {
       data.raw.add(source, e.receiver, e.measured_m);
-      data.samples.push_back({source, e.receiver, e.true_distance_m, e.measured_m,
-                              (e.measured_m - e.true_distance_m) * samples_per_meter});
+      data.samples.push_back({source, e.receiver, e.true_distance_m, e.measured_m});
     }
   }
 

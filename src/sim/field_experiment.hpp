@@ -81,12 +81,6 @@ struct RangingSample {
   resloc::core::NodeId receiver = 0;
   double true_distance_m = 0.0;
   double measured_m = 0.0;
-  /// Detection-offset diagnostic: (measured - true) converted to detector
-  /// samples via acoustics::kSampleRateHz / acoustics::kSpeedOfSoundMps
-  /// (~2.1 cm per sample). This is the detector-accuracy currency of the bench and the
-  /// offset harness: +160 here means the detector latched an arrival 160
-  /// samples (10 ms) after the true one -- the fixed-echo signature.
-  double detection_offset_samples = 0.0;
 };
 
 /// Campaign output.
@@ -107,11 +101,6 @@ struct FieldExperimentData {
 
   /// Raw estimate errors (measured - true) for histogram benches.
   std::vector<double> raw_errors() const;
-
-  /// Mean |detection_offset_samples| over all raw estimates (0 when none):
-  /// the campaign-level detector accuracy figure the `detectors` sweep and
-  /// bench_detector_accuracy report per detector mode.
-  double mean_abs_detection_offset_samples() const;
 };
 
 /// Runs the campaign. Units are sampled per node from `config.units` using

@@ -90,7 +90,6 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
   ranging::RangingScratch scratch;
   PerSampleScratch per_sample_scratch;
   sim::ChannelResponseCache channel_cache(config.ranging.environment);
-  const double samples_per_meter = acoustics::kSampleRateHz / acoustics::kSpeedOfSoundMps;
   const std::size_t num_turns =
       config.rounds > 0 ? static_cast<std::size_t>(config.rounds) * n : 0;
   for (std::size_t turn = 0; turn < num_turns; ++turn) {
@@ -112,8 +111,7 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
                     .distance_m;
       if (!estimate) return;
       data.raw.add(source, receiver, *estimate);
-      data.samples.push_back({source, receiver, true_d, *estimate,
-                              (*estimate - true_d) * samples_per_meter});
+      data.samples.push_back({source, receiver, true_d, *estimate});
     };
     if (scan == PairScan::kDense) {
       for (core::NodeId receiver = 0; receiver < n; ++receiver) {

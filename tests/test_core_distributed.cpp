@@ -5,17 +5,20 @@
 #include "core/alignment_protocol.hpp"
 #include "core/distributed_lss.hpp"
 #include "core/local_map.hpp"
-#include "core/transform_estimation.hpp"
 #include "eval/metrics.hpp"
+#include "math/procrustes.hpp"
+#include "reference/exact_transform.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 
 namespace {
 
 using namespace resloc::core;
+using resloc::math::fit_rigid;
 using resloc::math::Rng;
 using resloc::math::Transform2D;
 using resloc::math::Vec2;
+using resloc::reference::exact_transform;
 
 std::vector<Vec2> rigid_copy(const std::vector<Vec2>& src, const Transform2D& t) {
   std::vector<Vec2> out;
@@ -27,7 +30,7 @@ std::vector<Vec2> rigid_copy(const std::vector<Vec2>& src, const Transform2D& t)
 TEST(TransformEstimation, ClosedFormRecoversMotion) {
   const std::vector<Vec2> src{{0.0, 0.0}, {5.0, 1.0}, {2.0, 7.0}, {-3.0, 4.0}};
   const Transform2D motion(1.1, false, {12.0, -4.0});
-  const auto estimate = estimate_transform_closed_form(src, rigid_copy(src, motion));
+  const auto estimate = fit_rigid(src, rigid_copy(src, motion));
   ASSERT_TRUE(estimate.valid);
   EXPECT_NEAR(estimate.sum_squared_error, 0.0, 1e-12);
   EXPECT_LT(estimate.transform.max_param_diff(motion), 1e-9);
@@ -37,7 +40,7 @@ TEST(TransformEstimation, ExactRecoversMotion) {
   const std::vector<Vec2> src{{0.0, 0.0}, {5.0, 1.0}, {2.0, 7.0}, {-3.0, 4.0}};
   const Transform2D motion(-0.8, true, {3.0, 9.0});
   Rng rng(1);
-  const auto estimate = estimate_transform_exact(src, rigid_copy(src, motion), rng);
+  const auto estimate = exact_transform(src, rigid_copy(src, motion), rng);
   ASSERT_TRUE(estimate.valid);
   EXPECT_NEAR(estimate.sum_squared_error, 0.0, 1e-6);
   for (const Vec2& p : src) {
@@ -52,8 +55,8 @@ TEST(TransformEstimation, MethodsAgreeOnNoisyData) {
   auto dst = rigid_copy(src, motion);
   for (Vec2& p : dst) p += Vec2{noise.gaussian(0.0, 0.05), noise.gaussian(0.0, 0.05)};
   Rng rng(3);
-  const auto exact = estimate_transform_exact(src, dst, rng);
-  const auto closed = estimate_transform_closed_form(src, dst);
+  const auto exact = exact_transform(src, dst, rng);
+  const auto closed = fit_rigid(src, dst);
   ASSERT_TRUE(exact.valid && closed.valid);
   // Closed form is optimal for this objective; exact GD should come close.
   EXPECT_NEAR(exact.sum_squared_error, closed.sum_squared_error,
@@ -63,11 +66,9 @@ TEST(TransformEstimation, MethodsAgreeOnNoisyData) {
 
 TEST(TransformEstimation, InvalidInputs) {
   Rng rng(4);
-  EXPECT_FALSE(estimate_transform_closed_form({}, {}).valid);
-  EXPECT_FALSE(estimate_transform_exact({}, {}, rng).valid);
-  EXPECT_FALSE(estimate_transform({{1.0, 1.0}}, {{1.0, 1.0}, {2.0, 2.0}},
-                                  TransformMethod::kClosedForm, rng)
-                   .valid);
+  EXPECT_FALSE(fit_rigid({}, {}).valid);
+  EXPECT_FALSE(exact_transform({}, {}, rng).valid);
+  EXPECT_FALSE(fit_rigid({{1.0, 1.0}}, {{1.0, 1.0}, {2.0, 2.0}}).valid);
 }
 
 TEST(LocalMap, MembershipAndLookup) {
@@ -195,8 +196,7 @@ TEST(DistributedLss, TransformGuardRejectsCorruptMaps) {
   }
   auto guarded = opt;
   guarded.max_transform_rmse_m = 1.0;
-  Rng rng2(13);
-  const auto result = align_local_maps(maps, 0, guarded, rng2);
+  const auto result = align_local_maps(maps, 0, guarded);
   // Node 5's own frame is garbage; with the guard its transform is refused,
   // so it stays unlocalized rather than poisoning the alignment.
   EXPECT_FALSE(result.result.positions[5].has_value());
@@ -205,6 +205,32 @@ TEST(DistributedLss, TransformGuardRejectsCorruptMaps) {
       result.result.positions, d.positions, true, {5});
   EXPECT_LT(report.average_error_m, 0.6);
   EXPECT_GE(report.localized, d.size() - 2);
+}
+
+TEST(AlignmentProtocol, TransformGuardRejectsCorruptMaps) {
+  // The protocol twin of DistributedLss.TransformGuardRejectsCorruptMaps:
+  // the same scrambled map 5, aligned by the event-driven flood.
+  const auto d = resloc::sim::offset_grid(4, 4);
+  const auto meas = grid_measurements(d, 22.0);
+  Rng rng(11);
+  auto opt = good_options();
+  auto run = localize_distributed(meas, 0, opt, rng);
+  auto maps = run.maps;
+  Rng scramble(12);
+  for (auto& c : maps[5].coords) {
+    c = Vec2{scramble.uniform(-100.0, 100.0), scramble.uniform(-100.0, 100.0)};
+  }
+  auto guarded = opt;
+  guarded.max_transform_rmse_m = 1.0;
+  const auto proto =
+      run_alignment_protocol(maps, 0, d.positions, guarded, resloc::net::RadioParams{}, 7);
+  // Node 5 refuses every neighbor's transform (its own frame is garbage)
+  // and every neighbor refuses node 5's, so it is never placed.
+  EXPECT_FALSE(proto.result.positions[5].has_value());
+  const auto report = resloc::eval::evaluate_localization(
+      proto.result.positions, d.positions, true, {5});
+  EXPECT_LT(report.average_error_m, 0.6);
+  EXPECT_EQ(report.localized, d.size() - 1);
 }
 
 TEST(AlignmentProtocol, MatchesGraphDrivenResult) {

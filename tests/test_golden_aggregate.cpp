@@ -149,6 +149,38 @@ TEST(GoldenAggregate, Acoustic3x3JsonMatchesFixture) {
   compare_against_golden("acoustic_3x3.json", acoustic_3x3().to_json());
 }
 
+TEST(GoldenAggregate, JsonEscapesQuotesBackslashesAndControlBytes) {
+  // Sweep and scenario names are free text (SweepSpec::name,
+  // register_scenario); a carriage return or a raw control byte in one must
+  // still yield valid JSON (RFC 8259: \u00XX), exactly as in the trace export.
+  CellResult cell;
+  cell.axes = {{"label", "a\"b\\c\rd\x01" "e"}};
+  const std::string json = resloc::eval::campaign_to_json("sw\"e\\e\rp\x01" "x", 3, {cell});
+  EXPECT_EQ(json,
+            "{\n"
+            "  \"sweep\": \"sw\\\"e\\\\e\\u000dp\\u0001x\",\n"
+            "  \"seed\": 3,\n"
+            "  \"cells\": [\n"
+            "    {\n"
+            "      \"axes\": {\"label\": \"a\\\"b\\\\c\\u000dd\\u0001e\"},\n"
+            "      \"trials\": 0,\n"
+            "      \"ok_trials\": 0,\n"
+            "      \"scored_trials\": 0,\n"
+            "      \"mean_error_m\": 0,\n"
+            "      \"median_error_m\": 0,\n"
+            "      \"p95_error_m\": 0,\n"
+            "      \"max_error_m\": 0,\n"
+            "      \"mean_placement_rate\": 0,\n"
+            "      \"mean_stress\": 0,\n"
+            "      \"mean_measured_edges\": 0,\n"
+            "      \"mean_augmented_edges\": 0,\n"
+            "      \"mean_skipped_pairs\": 0\n"
+            "    }\n"
+            "  ],\n"
+            "  \"cell_count\": 1\n"
+            "}\n");
+}
+
 TEST(GoldenAggregate, EmptyCampaignSerializesStably) {
   // No fixture needed: the empty shape is asserted inline (it is the one
   // report consumers special-case).

@@ -324,7 +324,7 @@ TEST(LssListReuse, DistributedOnTheGrassGrid) {
   for (NodeId node = 0; node < meas.node_count(); ++node) {
     maps.push_back(dense_local_map(node, meas, opt.local_lss, r2));
   }
-  const DistributedLssResult b = align_local_maps(std::move(maps), 0, opt, r2);
+  const DistributedLssResult b = align_local_maps(std::move(maps), 0, opt);
 
   ASSERT_EQ(a.maps.size(), b.maps.size());
   for (std::size_t m = 0; m < a.maps.size(); ++m) {

@@ -25,7 +25,7 @@ using resloc::ranging::PairEstimate;
 // --- statistical_filter edge cases ---
 
 TEST(StatisticalFilter, EmptyInputYieldsNoEstimate) {
-  for (const FilterKind kind : {FilterKind::kMedian, FilterKind::kMode, FilterKind::kAuto}) {
+  for (const FilterKind kind : {FilterKind::kMedian, FilterKind::kAuto}) {
     FilterPolicy policy;
     policy.kind = kind;
     EXPECT_FALSE(resloc::ranging::filter_measurements({}, policy).has_value());
@@ -34,8 +34,9 @@ TEST(StatisticalFilter, EmptyInputYieldsNoEstimate) {
 
 TEST(StatisticalFilter, SingleMeasurementPassesThroughUnchanged) {
   // Median (and kAuto below its mode threshold) return the lone value
-  // exactly; the mode estimate quantizes to its bin center by construction,
-  // so it may move the value by at most half a bin.
+  // exactly; the mode estimate (kAuto from kModeMinSamples on) quantizes to
+  // its bin center by construction, so it may move the value by at most half
+  // a bin.
   for (const FilterKind kind : {FilterKind::kMedian, FilterKind::kAuto}) {
     FilterPolicy policy;
     policy.kind = kind;
@@ -43,11 +44,10 @@ TEST(StatisticalFilter, SingleMeasurementPassesThroughUnchanged) {
     ASSERT_TRUE(out.has_value());
     EXPECT_DOUBLE_EQ(*out, 7.25);
   }
-  FilterPolicy mode;
-  mode.kind = FilterKind::kMode;
-  const auto out = resloc::ranging::filter_measurements({7.25}, mode);
+  const auto out = resloc::ranging::filter_measurements(
+      std::vector<double>(resloc::ranging::kModeMinSamples, 7.25), FilterPolicy{});
   ASSERT_TRUE(out.has_value());
-  EXPECT_NEAR(*out, 7.25, mode.mode_bin_width_m / 2.0 + 1e-12);
+  EXPECT_NEAR(*out, 7.25, resloc::ranging::kModeBinWidthM / 2.0 + 1e-12);
 }
 
 TEST(StatisticalFilter, MedianResistsMinorityOutliers) {
@@ -74,17 +74,17 @@ TEST(StatisticalFilter, AllOutlierInputStillReturnsAValueInRange) {
 }
 
 TEST(StatisticalFilter, AutoSwitchesToModeOnceEnoughSamples) {
-  // Below mode_min_samples kAuto behaves as median; at or above it, as mode.
+  // Below kModeMinSamples (7) kAuto behaves as median; at or above it, as
+  // mode over 0.25 m bins.
   FilterPolicy policy;
   policy.kind = FilterKind::kAuto;
-  policy.mode_min_samples = 5;
   // Four samples: median of {9, 10, 10, 30} = 10; mode would also be 10 --
   // use an input where the two disagree: {1, 10, 10.2, 30}: median 10.1.
   const auto few = resloc::ranging::filter_measurements({1.0, 10.0, 10.2, 30.0}, policy);
   ASSERT_TRUE(few.has_value());
   EXPECT_NEAR(*few, 10.1, 1e-9);
   // Seven samples, bimodal with the true-distance bin denser: the mode picks
-  // the dense decimeter bin even though outliers drag the median upward.
+  // the dense bin even though outliers drag the median upward.
   const auto many = resloc::ranging::filter_measurements(
       {10.0, 10.05, 10.1, 24.0, 24.1, 39.0, 10.02}, policy);
   ASSERT_TRUE(many.has_value());
@@ -159,8 +159,6 @@ TEST(RobustFilter, VoteIsOrderIndependent) {
   resloc::math::Rng rng(0xD15C);
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
-  policy.consistency_min_votes = 2;
   std::vector<double> v = {10.0, 10.2, 10.4, 25.8, 25.9, 3.0, 10.1};
   const auto reference = resloc::ranging::filter_measurements(v, policy);
   ASSERT_TRUE(reference.has_value());
@@ -180,7 +178,6 @@ TEST(RobustFilter, VotePicksTheLargerClusterAndDropsTheRest) {
   // minority is gone from the estimate entirely rather than dragging it.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
   resloc::ranging::FilterStats stats;
   const auto out = resloc::ranging::filter_measurements(
       {10.0, 25.8, 10.1, 25.9, 25.7, 10.2, 25.85}, policy, &stats);
@@ -191,24 +188,17 @@ TEST(RobustFilter, VotePicksTheLargerClusterAndDropsTheRest) {
 }
 
 TEST(RobustFilter, VoteWithNoConsensusReturnsNullopt) {
-  // Every reading in its own cluster: no candidate reaches min_votes = 2, so
+  // Every reading in its own cluster: no candidate reaches 2 votes, so
   // the pair has no self-consistent distance and must be dropped -- the
   // mechanism that cuts echo-dominated long links out of a campaign.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
-  policy.consistency_min_votes = 2;
   resloc::ranging::FilterStats stats;
   const auto out =
       resloc::ranging::filter_measurements({5.0, 12.0, 19.0, 26.0}, policy, &stats);
   EXPECT_FALSE(out.has_value());
   EXPECT_TRUE(stats.vote_failed);
   EXPECT_EQ(stats.after_vote, 0u);
-  // min_votes = 1 accepts lone clusters again (vote degrades to a no-op of
-  // keeping the first singleton).
-  policy.consistency_min_votes = 1;
-  EXPECT_TRUE(
-      resloc::ranging::filter_measurements({5.0, 12.0, 19.0, 26.0}, policy).has_value());
 }
 
 TEST(RobustFilter, VoteTieBreaksTowardSmallestValue) {
@@ -218,7 +208,6 @@ TEST(RobustFilter, VoteTieBreaksTowardSmallestValue) {
   // is the direct path; later consistent clusters are echoes.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
   const auto out =
       resloc::ranging::filter_measurements({25.8, 10.0, 10.1, 25.9}, policy);
   ASSERT_TRUE(out.has_value());
@@ -226,17 +215,16 @@ TEST(RobustFilter, VoteTieBreaksTowardSmallestValue) {
 }
 
 TEST(RobustFilter, StatsTrackEveryStage) {
-  // vote keeps the 4-strong cluster (plus nothing else), then MAD inside the
-  // cluster cuts the straggler at 10.9: input 6 -> after_vote 5 -> after_mad 4.
+  // The vote (0.5 m tolerance) keeps the 4-strong cluster plus the straggler
+  // at 10.4 and cuts 30.0; then MAD inside the cluster (median 10.02, MAD
+  // 0.03 -> sigma floored at 0.05 m, cut beyond 0.175 m) cuts the straggler:
+  // input 6 -> after_vote 5 -> after_mad 4.
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 1.0;
   policy.mad_reject = true;
-  policy.mad_threshold = 3.5;
-  policy.mad_floor_m = 0.02;
   resloc::ranging::FilterStats stats;
   const auto out = resloc::ranging::filter_measurements(
-      {10.0, 10.05, 9.95, 10.02, 10.9, 30.0}, policy, &stats);
+      {10.0, 10.05, 9.95, 10.02, 10.4, 30.0}, policy, &stats);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(stats.input, 6u);
   EXPECT_EQ(stats.after_vote, 5u);
@@ -252,8 +240,6 @@ TEST(RobustFilter, RobustReportAggregatesAcrossTable) {
   for (const double m : {5.0, 15.0, 25.0}) table.add(2, 3, m);
   FilterPolicy policy;
   policy.consistency_vote = true;
-  policy.consistency_tolerance_m = 0.5;
-  policy.consistency_min_votes = 2;
   const auto report = table.robust_report(policy);
   EXPECT_EQ(report.measurements, 7u);
   EXPECT_EQ(report.directed_pairs, 2u);

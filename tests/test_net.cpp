@@ -252,10 +252,7 @@ TEST(Network, SenderDoesNotHearItself) {
 }
 
 TEST(Network, DeliveryJitterIsSmallAndPositive) {
-  RadioParams radio;
-  radio.base_latency_s = 2e-3;
-  radio.jitter_stddev_s = 5e-6;
-  Network net(radio, Rng(5));
+  Network net(RadioParams{}, Rng(5));
   std::vector<Reception> log;
   net.add_node(Vec2{0.0, 0.0}, std::make_unique<BeaconApp>());
   net.add_node(Vec2{1.0, 0.0}, std::make_unique<RecorderApp>(log));

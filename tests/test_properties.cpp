@@ -6,9 +6,9 @@
 #include "math/constants.hpp"
 
 #include "core/lss.hpp"
-#include "core/transform_estimation.hpp"
 #include "eval/metrics.hpp"
 #include "math/geometry.hpp"
+#include "math/procrustes.hpp"
 #include "math/rng.hpp"
 #include "math/transform2d.hpp"
 #include "ranging/dft_detector.hpp"
@@ -75,7 +75,7 @@ TEST_P(TransformRecovery, ClosedFormExactOnCleanData) {
                            {rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)});
   std::vector<Vec2> dst;
   for (const Vec2& p : src) dst.push_back(motion.apply(p));
-  const auto estimate = resloc::core::estimate_transform_closed_form(src, dst);
+  const auto estimate = resloc::math::fit_rigid(src, dst);
   ASSERT_TRUE(estimate.valid);
   EXPECT_NEAR(estimate.sum_squared_error, 0.0, 1e-10);
   // The recovered transform agrees with the true motion on fresh points.

@@ -83,10 +83,9 @@ TEST(StatisticalFilter, MaxSamplesLimitsWindow) {
 }
 
 TEST(StatisticalFilter, AutoSwitchesToModeWithEnoughSamples) {
+  // kAuto switches at kModeMinSamples (7) to the mode over 0.25 m bins.
   FilterPolicy policy;
   policy.kind = FilterKind::kAuto;
-  policy.mode_min_samples = 5;
-  policy.mode_bin_width_m = 0.5;
   // 4 samples -> median (average of the central pair).
   const auto median_result = filter_measurements({10.0, 10.1, 9.9, 20.0}, policy);
   // 7 samples -> mode; outliers cannot move the dominant bin.
@@ -101,14 +100,15 @@ TEST(StatisticalFilter, ModeNeedsMoreSamplesThanMedian) {
   // The paper: mode "is more resistant to the effects of uncorrelated
   // outliers than the median, but it needs more measurements to be
   // effective". With 3 samples and 2 outliers in one bin, mode fails where
-  // median fails too, but with 5 honest + 2 outliers mode nails it.
-  FilterPolicy mode_policy;
-  mode_policy.kind = FilterKind::kMode;
-  mode_policy.mode_bin_width_m = 0.5;
-  const auto bad = filter_measurements({10.0, 20.0, 20.1}, mode_policy);
+  // median fails too, but with 5 honest + 2 outliers mode nails it. The
+  // filter never runs the mode below kModeMinSamples, so the 3-sample case
+  // calls the estimator directly.
+  const auto bad =
+      resloc::math::binned_mode({10.0, 20.0, 20.1}, resloc::ranging::kModeBinWidthM);
   ASSERT_TRUE(bad.has_value());
   EXPECT_GT(*bad, 15.0);  // two correlated outliers dominate 1 honest sample
-  const auto good = filter_measurements({10.0, 10.1, 9.9, 10.05, 9.95, 20.0, 20.1}, mode_policy);
+  const auto good =
+      filter_measurements({10.0, 10.1, 9.9, 10.05, 9.95, 20.0, 20.1}, FilterPolicy{});
   EXPECT_NEAR(*good, 10.0, 0.5);
 }
 
