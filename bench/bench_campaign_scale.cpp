@@ -44,7 +44,6 @@
 #include <tuple>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "math/grid_pairs.hpp"
 #include "reference/dense_campaign.hpp"
@@ -174,7 +173,7 @@ ScalePoint run_scale_point(std::size_t n) {
     return best_of(reps, [&] {
       math::Rng rng(7);
       const auto data = run_campaign(deployment, c, rng, dense);
-      g_sink = data.samples.size() + data.skipped_pairs;
+      g_sink = data.raw.measurement_count() + data.skipped_pairs;
     });
   };
 
@@ -191,19 +190,25 @@ ScalePoint run_scale_point(std::size_t n) {
   {
     sim::FieldExperimentConfig c = config;
     math::Rng rng(7);
-    point.raw_estimates = sim::run_field_experiment(deployment, c, rng).samples.size();
+    point.raw_estimates = sim::run_field_experiment(deployment, c, rng).raw.measurement_count();
   }
   return point;
 }
 
-/// Byte-identity of two campaign outputs: every raw estimate, bitwise.
+/// Byte-identity of two campaign outputs: every raw estimate, per direction
+/// and in order, bitwise.
 bool samples_identical(const sim::FieldExperimentData& a, const sim::FieldExperimentData& b) {
-  if (a.samples.size() != b.samples.size()) return false;
   if (a.filtered.size() != b.filtered.size()) return false;
   if (a.skipped_pairs != b.skipped_pairs) return false;
-  return a.samples.empty() ||
-         std::memcmp(a.samples.data(), b.samples.data(),
-                     a.samples.size() * sizeof(sim::RangingSample)) == 0;
+  const auto& ea = a.raw.entries();
+  const auto& eb = b.raw.entries();
+  if (ea.size() != eb.size()) return false;
+  for (auto x = ea.begin(), y = eb.begin(); x != ea.end(); ++x, ++y) {
+    if (x->first != y->first || x->second.size() != y->second.size()) return false;
+    const std::size_t bytes = x->second.size() * sizeof(double);
+    if (std::memcmp(x->second.data(), y->second.data(), bytes) != 0) return false;
+  }
+  return true;
 }
 
 struct SurveyDspPoint {
@@ -243,7 +248,7 @@ SurveyDspPoint run_survey_dsp_point() {
     return sim::run_field_experiment(deployment, c, rng);
   };
   const auto time_run = [&](bool block, int threads, int reps) {
-    return best_of(reps, [&] { g_sink = run(block, threads).samples.size(); });
+    return best_of(reps, [&] { g_sink = run(block, threads).raw.measurement_count(); });
   };
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -266,8 +271,7 @@ SurveyDspPoint run_survey_dsp_point() {
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_campaign.json";
-  bench::print_banner(
-      "Measurement acquisition: grid-culled pair enumeration vs dense O(n^2) front end");
+  std::puts("Measurement acquisition: grid-culled pair enumeration vs dense O(n^2) front end\n");
 
   std::vector<ScalePoint> points;
   for (const std::size_t n : {100u, 500u, 1000u}) points.push_back(run_scale_point(n));
@@ -306,7 +310,7 @@ int main(int argc, char** argv) {
     return best_of(3, [&] {
       math::Rng rng(7);
       const auto data = run_campaign(wide, wide_config, rng, dense);
-      g_sink = data.samples.size() + data.skipped_pairs;
+      g_sink = data.raw.measurement_count() + data.skipped_pairs;
     });
   };
   const double wide_dense_s = wide_time(true);
@@ -343,7 +347,7 @@ int main(int argc, char** argv) {
     const auto data = sim::run_field_experiment(deployment, config, rng);
     g_count_allocs = false;
     campaign_allocs = g_alloc_count.load();
-    g_sink = data.samples.size();
+    g_sink = data.raw.measurement_count();
     allocs_per_attempt =
         static_cast<double>(campaign_allocs) / static_cast<double>(attempts);
     std::printf(

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "acoustics/environment.hpp"
-#include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
@@ -162,7 +161,7 @@ std::string strip_detector_accuracy(std::string json) {
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_ranging.json";
-  bench::print_banner("Detector accuracy: detection offset per mode, clean vs fixed echo");
+  std::puts("Detector accuracy: detection offset per mode, clean vs fixed echo\n");
 
   const std::vector<double> clean_distances = {5.0, 10.0, 15.0, 20.0};
   const std::vector<double> echo_distances = {14.0, 16.0, 18.0, 20.0};

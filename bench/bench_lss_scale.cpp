@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/dv_hop.hpp"
 #include "core/lss.hpp"
 #include "eval/aggregate.hpp"
@@ -162,7 +161,7 @@ EvalCase run_eval_case(std::size_t n, bool folded, double& max_error_delta,
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_lss.json";
-  bench::print_banner("LSS soft-constraint active set: spatial grid vs dense O(n^2) scan");
+  std::puts("LSS soft-constraint active set: spatial grid vs dense O(n^2) scan\n");
 
   double max_error_delta = 0.0;
   double max_grad_delta = 0.0;

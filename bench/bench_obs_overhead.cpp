@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "math/rng.hpp"
 #include "obs/telemetry.hpp"
@@ -62,7 +61,7 @@ double disabled_span_cost_ns(std::size_t iterations) {
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_obs.json";
-  bench::print_banner("Telemetry overhead on the survey-density campaign");
+  std::puts("Telemetry overhead on the survey-density campaign\n");
 
   // The survey-density fixture: the same uniform_n + grass campaign
   // bench_campaign_scale's e2e points use, at n = 100 so a rep is ~0.3 s.
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
   const auto campaign = [&] {
     math::Rng rng(7);
     const auto data = sim::run_field_experiment(deployment, config, rng);
-    g_sink = data.samples.size();
+    g_sink = data.raw.measurement_count();
   };
   // --- End to end: telemetry off (the default production mode) vs fully on
   // (counters + stage totals + retained span events, the --trace

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "acoustics/signal_synth.hpp"
-#include "bench_util.hpp"
 #include "eval/aggregate.hpp"
 #include "ranging/dft_detector.hpp"
 #include "reference/direct_dft.hpp"
@@ -55,7 +54,7 @@ volatile double g_sink = 0.0;  // keeps the timed loops from being optimized awa
 
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_ranging.json";
-  bench::print_banner("Goertzel fast path vs direct DFT (acoustic sweep hot path)");
+  std::puts("Goertzel fast path vs direct DFT (acoustic sweep hot path)\n");
 
   // --- Stage 1: single-bin filtering over a long noisy capture ---
   constexpr std::size_t kSamples = 1 << 18;  // ~16 s of 16 kHz audio

@@ -27,6 +27,22 @@ bool has_fault_axes(const std::vector<CellResult>& cells) {
   return false;
 }
 
+/// One CSV field. Quoted (RFC 4180, inner quotes doubled) when it holds a
+/// comma, CR or LF, or starts with a quote -- the cases a CSV reader would
+/// split or unquote. Any other field, including one with a quote inside it,
+/// is written raw, which keeps the existing reports byte-identical.
+std::string csv_field(const std::string& field) {
+  if (field.find_first_of(",\r\n") == std::string::npos && field.rfind('"', 0) != 0) {
+    return field;
+  }
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  return out + "\"";
+}
+
 }  // namespace
 
 const char* failure_reason_name(FailureReason reason) {
@@ -185,7 +201,7 @@ std::string campaign_to_csv(const std::vector<CellResult>& cells) {
   // Header: axis names from the first cell (all cells of a sweep share them),
   // then the aggregate columns.
   if (!cells.empty()) {
-    for (const auto& [name, value] : cells.front().axes) out += name + ",";
+    for (const auto& [name, value] : cells.front().axes) out += csv_field(name) + ",";
   }
   out +=
       "trials,ok_trials,scored_trials,mean_error_m,median_error_m,p95_error_m,"
@@ -194,7 +210,7 @@ std::string campaign_to_csv(const std::vector<CellResult>& cells) {
   if (resilience_fields) out += ",failed_trials,mean_coverage,mean_degraded_rate";
   out += "\n";
   for (const CellResult& cell : cells) {
-    for (const auto& [name, value] : cell.axes) out += value + ",";
+    for (const auto& [name, value] : cell.axes) out += csv_field(value) + ",";
     const CellAggregate& g = cell.aggregate;
     out += std::to_string(g.trials) + "," + std::to_string(g.ok_trials) + "," +
            std::to_string(g.scored_trials) + "," + format_value(g.mean_error_m) + "," +

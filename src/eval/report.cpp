@@ -1,7 +1,6 @@
 #include "eval/report.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace resloc::eval {
@@ -47,34 +46,6 @@ std::string fmt(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, value);
   return buf;
-}
-
-bool write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<double>>& rows) {
-  std::ofstream out(path);
-  if (!out) return false;
-  for (std::size_t c = 0; c < header.size(); ++c) {
-    out << header[c] << (c + 1 == header.size() ? "\n" : ",");
-  }
-  for (const auto& row : rows) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << row[c] << (c + 1 == row.size() ? "\n" : ",");
-    }
-  }
-  return static_cast<bool>(out);
-}
-
-std::string banner(const std::string& title) {
-  std::string line(72, '=');
-  return line + "\n" + title + "\n" + line + "\n";
-}
-
-std::string compare_line(const std::string& label, double paper_value, double measured_value,
-                         const std::string& unit) {
-  std::ostringstream os;
-  os << "  " << label << ": paper " << fmt(paper_value, 3) << " " << unit << "  |  measured "
-     << fmt(measured_value, 3) << " " << unit;
-  return os.str();
 }
 
 }  // namespace resloc::eval

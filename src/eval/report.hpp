@@ -1,6 +1,5 @@
-// Plain-text reporting: fixed-width tables, key-value blocks, and CSV dumps
-// used by the bench binaries to print each figure's data series next to the
-// paper's reported values.
+// Plain-text reporting: fixed-width tables and fixed-precision number
+// formatting for the campaign app and the bench records.
 #pragma once
 
 #include <string>
@@ -29,16 +28,5 @@ class Table {
 
 /// Formats a double with fixed precision.
 std::string fmt(double value, int precision = 3);
-
-/// Writes rows as CSV to `path` (best effort; returns false on I/O error).
-bool write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<double>>& rows);
-
-/// Prints a section banner used to delimit bench output.
-std::string banner(const std::string& title);
-
-/// One-line comparison of a paper-reported value against ours.
-std::string compare_line(const std::string& label, double paper_value, double measured_value,
-                         const std::string& unit);
 
 }  // namespace resloc::eval

@@ -40,6 +40,9 @@ struct TriangleViolation {
 /// Raw directional measurement store.
 class MeasurementTable {
  public:
+  /// (from, to) -> that direction's raw estimates in insertion order.
+  using Entries = std::map<std::pair<NodeId, NodeId>, std::vector<double>>;
+
   /// Records one raw estimate of the distance from `from` to `to`.
   void add(NodeId from, NodeId to, double distance_m);
 
@@ -51,6 +54,9 @@ class MeasurementTable {
   /// filter_measurements call.
   std::optional<double> filtered(NodeId from, NodeId to, const FilterPolicy& policy,
                                  FilterStats* stats = nullptr) const;
+
+  /// Every directed entry, ascending by (from, to).
+  const Entries& entries() const { return table_; }
 
   /// Number of directed pairs with at least one measurement.
   std::size_t directed_pair_count() const { return table_.size(); }
@@ -91,7 +97,7 @@ class MeasurementTable {
   RobustReport robust_report(const FilterPolicy& policy) const;
 
  private:
-  std::map<std::pair<NodeId, NodeId>, std::vector<double>> table_;
+  Entries table_;
   std::size_t total_ = 0;
 };
 

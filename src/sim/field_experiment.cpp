@@ -45,7 +45,6 @@ double link_shadowing_db(const resloc::math::Rng& shadow_base, NodeId a, NodeId 
 /// sequential runs aggregate in the same order.
 struct TurnEstimate {
   NodeId receiver = 0;
-  double true_distance_m = 0.0;
   double measured_m = 0.0;
 };
 
@@ -58,13 +57,6 @@ MeasurementSet FieldExperimentData::to_measurement_set(std::size_t node_count) c
     set.add(pair.a, pair.b, pair.distance_m, /*weight=*/1.0);
   }
   return set;
-}
-
-std::vector<double> FieldExperimentData::raw_errors() const {
-  std::vector<double> errors;
-  errors.reserve(samples.size());
-  for (const auto& s : samples) errors.push_back(s.measured_m - s.true_distance_m);
-  return errors;
 }
 
 FieldExperimentData run_field_experiment(const resloc::core::Deployment& deployment,
@@ -143,7 +135,7 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
           // its reported distance is constant per node -- self-consistent
           // across rounds (it sails through the consistency vote) but wrong,
           // which is exactly what the bidirectional check is for.
-          out.push_back({receiver, true_d, injector.stuck_distance_m(receiver)});
+          out.push_back({receiver, injector.stuck_distance_m(receiver)});
           return;
         }
       }
@@ -163,7 +155,7 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
         if (injector.active()) {
           measured = injector.corrupt_distance(round, source, receiver, measured);
         }
-        out.push_back({receiver, true_d, measured});
+        out.push_back({receiver, measured});
       }
     };
     pairs.for_each_neighbor(source, [&](std::size_t receiver, double true_d) {
@@ -210,14 +202,10 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
 
   // Sequential aggregation in turn order: identical to the historical
   // round -> source -> ascending-receiver insertion order.
-  std::size_t estimate_count = 0;
-  for (const auto& turn : turns) estimate_count += turn.size();
-  data.samples.reserve(estimate_count);
   for (std::size_t turn = 0; turn < num_turns; ++turn) {
     const auto source = static_cast<NodeId>(turn % n);
     for (const TurnEstimate& e : turns[turn]) {
       data.raw.add(source, e.receiver, e.measured_m);
-      data.samples.push_back({source, e.receiver, e.true_distance_m, e.measured_m});
     }
   }
 

@@ -75,18 +75,10 @@ struct FieldExperimentConfig {
   resloc::fault::FaultPlan faults;
 };
 
-/// One raw directional estimate with its ground truth (diagnostics only).
-struct RangingSample {
-  resloc::core::NodeId source = 0;
-  resloc::core::NodeId receiver = 0;
-  double true_distance_m = 0.0;
-  double measured_m = 0.0;
-};
-
 /// Campaign output.
 struct FieldExperimentData {
+  /// Every successful raw estimate, per direction in (round, source) order.
   resloc::ranging::MeasurementTable raw;
-  std::vector<RangingSample> samples;      ///< every successful raw estimate
   std::vector<resloc::ranging::PairEstimate> filtered;  ///< after filter + bidirectional check
 
   /// Unordered pairs that were never simulated because their true distance
@@ -98,9 +90,6 @@ struct FieldExperimentData {
 
   /// Converts the filtered estimates into the localization input format.
   resloc::core::MeasurementSet to_measurement_set(std::size_t node_count) const;
-
-  /// Raw estimate errors (measured - true) for histogram benches.
-  std::vector<double> raw_errors() const;
 };
 
 /// Runs the campaign. Units are sampled per node from `config.units` using

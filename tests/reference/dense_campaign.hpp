@@ -111,7 +111,6 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
                     .distance_m;
       if (!estimate) return;
       data.raw.add(source, receiver, *estimate);
-      data.samples.push_back({source, receiver, true_d, *estimate});
     };
     if (scan == PairScan::kDense) {
       for (core::NodeId receiver = 0; receiver < n; ++receiver) {

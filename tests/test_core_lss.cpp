@@ -2,10 +2,10 @@
 
 #include <cmath>
 
-#include "core/classical_mds.hpp"
-#include "math/transform2d.hpp"
 #include "core/lss.hpp"
 #include "eval/metrics.hpp"
+#include "math/transform2d.hpp"
+#include "reference/classical_mds.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 
@@ -192,13 +192,13 @@ TEST(LocalizeLss, ConstraintRescuesSparseFoldedGraph) {
 
 TEST(ClassicalMds, ExactOnCompleteMatrix) {
   const std::vector<Vec2> pos{{0.0, 0.0}, {10.0, 0.0}, {10.0, 10.0}, {0.0, 10.0}, {5.0, 5.0}};
-  resloc::math::Matrix d(5, 5);
+  resloc::reference::Matrix d(5, 5);
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
       d(i, j) = resloc::math::distance(pos[i], pos[j]);
     }
   }
-  const auto result = classical_mds(d);
+  const auto result = resloc::reference::classical_mds(d);
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->planarity, 0.999);  // genuinely planar data
   const auto report = resloc::eval::evaluate_localization(result->positions, pos, true);
@@ -206,15 +206,15 @@ TEST(ClassicalMds, ExactOnCompleteMatrix) {
 }
 
 TEST(ClassicalMds, RejectsBadInput) {
-  EXPECT_FALSE(classical_mds(resloc::math::Matrix{}).has_value());
-  EXPECT_FALSE(classical_mds(resloc::math::Matrix(2, 3)).has_value());
+  EXPECT_FALSE(resloc::reference::classical_mds(resloc::reference::Matrix{}).has_value());
+  EXPECT_FALSE(resloc::reference::classical_mds(resloc::reference::Matrix(2, 3)).has_value());
 }
 
 TEST(ShortestPathCompletion, FillsMissingDistances) {
   MeasurementSet meas(3);
   meas.add(0, 1, 5.0);
   meas.add(1, 2, 7.0);
-  const auto d = shortest_path_completion(meas);
+  const auto d = resloc::reference::shortest_path_completion(meas);
   EXPECT_DOUBLE_EQ(d(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(d(0, 2), 12.0);  // via node 1
   EXPECT_DOUBLE_EQ(d(2, 0), 12.0);
@@ -225,7 +225,7 @@ TEST(ShortestPathCompletion, UnreachableMarked) {
   MeasurementSet meas(4);
   meas.add(0, 1, 5.0);
   meas.add(2, 3, 2.0);
-  const auto d = shortest_path_completion(meas, 999.0);
+  const auto d = resloc::reference::shortest_path_completion(meas, 999.0);
   EXPECT_DOUBLE_EQ(d(0, 2), 999.0);
 }
 
@@ -245,8 +245,8 @@ TEST(MdsMap, SparseInputDistortsButLocalizesDenseInput) {
       if (d < 11.0) sparse.add(i, j, d);
     }
   }
-  const auto dense_result = mds_map(dense);
-  const auto sparse_result = mds_map(sparse);
+  const auto dense_result = resloc::reference::mds_map(dense);
+  const auto sparse_result = resloc::reference::mds_map(sparse);
   ASSERT_TRUE(dense_result && sparse_result);
   const auto dense_rep =
       resloc::eval::evaluate_localization(dense_result->positions, pos, true);

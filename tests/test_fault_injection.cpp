@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -267,15 +268,16 @@ TEST(FaultInjection, FaultedCampaignIsThreadCountInvariant) {
   Rng rng_par(77);
   const auto threaded = resloc::sim::run_field_experiment(deployment, config, rng_par);
 
-  ASSERT_EQ(sequential.samples.size(), threaded.samples.size());
-  for (std::size_t i = 0; i < sequential.samples.size(); ++i) {
-    EXPECT_EQ(sequential.samples[i].source, threaded.samples[i].source) << i;
-    EXPECT_EQ(sequential.samples[i].receiver, threaded.samples[i].receiver) << i;
-    // Bitwise equality, NaN included: compare representations, not values.
-    EXPECT_TRUE(sequential.samples[i].measured_m == threaded.samples[i].measured_m ||
-                (std::isnan(sequential.samples[i].measured_m) &&
-                 std::isnan(threaded.samples[i].measured_m)))
-        << i;
+  // Every raw estimate, per direction and in order, bitwise (NaN included).
+  const auto& seq_raw = sequential.raw.entries();
+  const auto& par_raw = threaded.raw.entries();
+  ASSERT_EQ(seq_raw.size(), par_raw.size());
+  for (auto s = seq_raw.begin(), p = par_raw.begin(); s != seq_raw.end(); ++s, ++p) {
+    ASSERT_EQ(s->first, p->first);
+    ASSERT_EQ(s->second.size(), p->second.size());
+    EXPECT_EQ(std::memcmp(s->second.data(), p->second.data(), s->second.size() * sizeof(double)),
+              0)
+        << s->first.first << "->" << s->first.second;
   }
   const auto set_seq = sequential.to_measurement_set(deployment.size());
   const auto set_par = threaded.to_measurement_set(deployment.size());
@@ -293,7 +295,7 @@ TEST(FaultInjection, FaultedCampaignIsThreadCountInvariant) {
   config.faults = FaultPlan{};
   Rng rng_clean(77);
   const auto clean = resloc::sim::run_field_experiment(deployment, config, rng_clean);
-  EXPECT_NE(clean.samples.size(), sequential.samples.size());
+  EXPECT_NE(clean.raw.measurement_count(), sequential.raw.measurement_count());
 }
 
 }  // namespace

@@ -181,6 +181,22 @@ TEST(GoldenAggregate, JsonEscapesQuotesBackslashesAndControlBytes) {
             "}\n");
 }
 
+TEST(GoldenAggregate, CsvQuotesFieldsThatWouldSplitTheRow) {
+  // Axis names and values are free text (SweepSpec axes, and the unknown
+  // detector/environment names a failed trial's cell is still labelled
+  // with). A comma, CR or LF, or a leading quote gets the RFC 4180 treatment
+  // so every row keeps the header's column count; a quote inside an
+  // otherwise plain field stays raw, as the handcrafted fixture pins.
+  CellResult cell;
+  cell.axes = {{"a,b", "x,y"}, {"line", "one\r\ntwo"}, {"lead", "\"q\"uoted"},
+               {"plain", "mid\"quote"}};
+  EXPECT_EQ(resloc::eval::campaign_to_csv({cell}),
+            "\"a,b\",line,lead,plain,trials,ok_trials,scored_trials,mean_error_m,"
+            "median_error_m,p95_error_m,max_error_m,mean_placement_rate,mean_stress,"
+            "mean_measured_edges,mean_augmented_edges,mean_skipped_pairs\n"
+            "\"x,y\",\"one\r\ntwo\",\"\"\"q\"\"uoted\",mid\"quote,0,0,0,0,0,0,0,0,0,0,0,0\n");
+}
+
 TEST(GoldenAggregate, EmptyCampaignSerializesStably) {
   // No fixture needed: the empty shape is asserted inline (it is the one
   // report consumers special-case).

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "math/matrix.hpp"
+#include "reference/classical_mds.hpp"
 
 namespace {
 
-using resloc::math::Matrix;
+using resloc::reference::Matrix;
 
 TEST(Matrix, ConstructionAndAccess) {
   Matrix m(2, 3, 1.5);

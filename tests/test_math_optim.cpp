@@ -3,12 +3,13 @@
 #include <cmath>
 
 #include "math/gradient_descent.hpp"
-#include "math/jacobi_eigen.hpp"
-#include "math/matrix.hpp"
+#include "reference/classical_mds.hpp"
 
 namespace {
 
 using namespace resloc::math;
+using resloc::reference::jacobi_eigen_decomposition;
+using resloc::reference::Matrix;
 
 TEST(GradientDescent, QuadraticBowl) {
   // E = (x-3)^2 + (y+1)^2.

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
-#include "math/histogram.hpp"
 #include "math/stats.hpp"
 
 namespace {
@@ -129,54 +126,6 @@ TEST(Stats, FractionWithin) {
   EXPECT_DOUBLE_EQ(fraction_within(v, 0.3), 2.0 / 5.0);
   EXPECT_DOUBLE_EQ(fraction_within(v, 10.0), 1.0);
   EXPECT_DOUBLE_EQ(fraction_within({}, 1.0), 0.0);
-}
-
-TEST(Histogram, RejectsMalformedRanges) {
-  // Enforced in Release too (throw, not assert): hi <= lo or zero bins would
-  // produce a zero-or-negative bin width and garbage binning.
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, -1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(Histogram(nan, 10.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, nan, 4), std::invalid_argument);
-  EXPECT_NO_THROW(Histogram(-5.0, 5.0, 1));
-}
-
-TEST(Histogram, BasicBinning) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(0.7);
-  h.add(5.5);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.peak_bin(), 0u);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-0.1);
-  h.add(1.0);  // hi edge counts as overflow
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BinGeometry) {
-  Histogram h(-2.0, 2.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_lower(0), -2.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(3), 1.5);
-}
-
-TEST(Histogram, AsciiRenderContainsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add_all({0.5, 0.6, 1.5});
-  const std::string art = h.to_ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_NE(art.find('2'), std::string::npos);
 }
 
 }  // namespace

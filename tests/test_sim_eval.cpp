@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "eval/metrics.hpp"
-#include <fstream>
 
 #include "eval/report.hpp"
 #include "math/stats.hpp"
@@ -341,23 +340,6 @@ TEST(Report, TableFormatsRows) {
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("10.14"), std::string::npos);
   EXPECT_EQ(table.rows(), 2u);
-}
-
-TEST(Report, CompareLine) {
-  const auto line = resloc::eval::compare_line("avg error", 2.229, 1.8, "m");
-  EXPECT_NE(line.find("2.229"), std::string::npos);
-  EXPECT_NE(line.find("1.800"), std::string::npos);
-}
-
-TEST(Report, CsvWriter) {
-  const std::string path = "/tmp/resloc_test_csv.csv";
-  ASSERT_TRUE(resloc::eval::write_csv(path, {"a", "b"}, {{1.0, 2.0}, {3.0, 4.0}}));
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
 }
 
 }  // namespace
