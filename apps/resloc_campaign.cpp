@@ -300,7 +300,9 @@ std::map<std::string, NamedSweep> sweep_catalog() {
     spec.axes.fault_intensities = {0.5, 1.0, 2.0};
     spec.base.multilateration.allow_degraded = true;
     catalog["resilience"] = {
-        "acoustic campaign under fault injection: kind x intensity x solver (54 cells)", spec};
+        "acoustic campaign under fault injection: kind x intensity x solver (54 cells; "
+        "packet_loss is inert, no campaign builds a radio network)",
+        spec};
   }
   {  // Four-kind cut of 'resilience' for CI: the 1-vs-8-thread byte-identity
      // check under active fault injection runs on exactly these cells.

@@ -1,45 +1,17 @@
-// Raw waveform synthesis for the software (DFT) tone detector of Section 3.7.
+// Sampled-audio synthesis for the software detectors of Section 3.7.
 //
 // Platforms without a hardware tone detector (e.g. the XSM mote) sample the
-// microphone directly; the sliding-DFT filter of Figure 9 then isolates the
-// beacon band. To reproduce Figure 10 ("clean and noisy signals before and
-// after applying the tone detection filter") we synthesize sampled audio:
-// constant-frequency chirps plus Gaussian noise and optional off-band
-// interference tones.
+// microphone directly; a detector then isolates the beacon band. The
+// sampled-audio campaign modes synthesize each received window as a tone
+// envelope on a cached chirp tone table plus Gaussian noise
+// (RangingService::synthesize_window). The Figure 10 capture generator is the
+// test reference tests/reference/figure9_dft.hpp.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "math/rng.hpp"
-
 namespace resloc::acoustics {
-
-/// Parameters of a synthesized audio capture.
-struct WaveformSpec {
-  double sample_rate_hz = 16000.0;
-  double tone_frequency_hz = 4000.0;  ///< fs/4, one of the Figure 9 bands
-  double tone_amplitude = 1000.0;     ///< matches the Figure 10 axis scale
-  double noise_stddev = 0.0;          ///< additive white Gaussian noise
-  double interference_frequency_hz = 0.0;  ///< 0 disables the interferer
-  double interference_amplitude = 0.0;
-};
-
-/// A chirp to place in the waveform: [start_sample, start_sample + length).
-struct ChirpPlacement {
-  std::size_t start_sample = 0;
-  std::size_t length = 128;  ///< 8 ms at 16 kHz
-};
-
-/// Synthesizes `num_samples` of audio containing the given chirps.
-std::vector<double> synthesize_waveform(const WaveformSpec& spec,
-                                        const std::vector<ChirpPlacement>& chirps,
-                                        std::size_t num_samples, resloc::math::Rng& rng);
-
-/// Evenly spaced chirp placements: `count` chirps of `length` samples
-/// starting at `first_start`, separated by `period` samples.
-std::vector<ChirpPlacement> periodic_chirps(std::size_t count, std::size_t first_start,
-                                            std::size_t period, std::size_t length);
 
 /// Block synthesis kernel of the sampled-audio paths:
 ///     out[i] = amplitude[i] * tone[i] + (burst[i] ? burst_noise_sigma : 1.0) * noise[i]
@@ -63,47 +35,25 @@ struct ToneTemplateView {
   std::size_t length = 0;
 };
 
-/// Reusable synthesis engine for per-pair campaign loops.
-///
-/// The free function above prices every chirp sample at one std::sin call and
-/// every capture at a fresh allocation; across a campaign's pairs x rounds x
-/// chirps that dominates the synthesis cost. This class removes both:
-///   - chirp tone templates (sin/cos lookup tables) are computed once per
-///     (sample rate, tone frequency) and reused for every placement via the
-///     angle-addition identity -- two multiplies per sample, two std::sin
-///     calls per chirp regardless of length;
-///   - synthesize_into() writes into a caller-owned buffer, so a pair loop
-///     reuses one allocation for every capture.
+/// Chirp tone-table cache for per-pair campaign loops: the sin/cos tables of
+/// a tone at kSampleRateHz are computed once per frequency and extended
+/// lazily, instead of one std::sin call per sample of every window.
 /// Not thread-safe; give each worker its own synthesizer (the templates are
 /// small and rebuild in microseconds).
 class WaveformSynthesizer {
  public:
-  /// Like synthesize_waveform, but reusing `wave`'s storage and the cached
-  /// templates. The output differs from the free function only by
-  /// floating-point rounding of the tone samples (|delta| ~ 1 ulp).
-  void synthesize_into(std::vector<double>& wave, const WaveformSpec& spec,
-                       const std::vector<ChirpPlacement>& chirps, std::size_t num_samples,
-                       resloc::math::Rng& rng);
-
-  /// The (rate, frequency) tone template extended to at least `length`
+  /// The tone template of `frequency_hz` extended to at least `length`
   /// samples, as a read-only view. The pointers are invalidated by any later
   /// call that creates or extends a template (same lifetime rule as
   /// std::vector iterators); campaign scratches re-fetch the view per window.
-  ToneTemplateView tone_template_view(double sample_rate_hz, double frequency_hz,
-                                      std::size_t length);
+  ToneTemplateView tone_template_view(double frequency_hz, std::size_t length);
 
  private:
   struct ToneTemplate {
-    double sample_rate_hz = 0.0;
     double frequency_hz = 0.0;
     std::vector<double> sin_t;  ///< sin(2*pi*f*i/fs), i in [0, length)
     std::vector<double> cos_t;
   };
-
-  /// Returns the template for (rate, frequency), extended to at least
-  /// `length` samples.
-  const ToneTemplate& tone_template(double sample_rate_hz, double frequency_hz,
-                                    std::size_t length);
 
   std::vector<ToneTemplate> templates_;
 };

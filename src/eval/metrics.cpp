@@ -77,7 +77,6 @@ RangingErrorReport summarize_ranging_errors(const std::vector<double>& errors) {
   if (errors.empty()) return report;
 
   report.mean_m = resloc::math::mean(errors);
-  report.stddev_m = resloc::math::stddev(errors);
   std::vector<double> abs_errors;
   abs_errors.reserve(errors.size());
   for (double e : errors) abs_errors.push_back(std::abs(e));

@@ -56,7 +56,6 @@ struct RangingErrorReport {
   std::size_t count = 0;
   double mean_m = 0.0;
   double median_abs_m = 0.0;       ///< median of |error|
-  double stddev_m = 0.0;
   double within_30cm_fraction = 0.0;
   double within_1m_fraction = 0.0;
   double max_abs_m = 0.0;

@@ -10,7 +10,9 @@
 // any thread count and independent of query order.
 //
 // Fault taxonomy (one knob per failure mode):
-//   network   -- packet_loss_probability, loss bursts (radio jamming windows)
+//   network   -- packet_loss_probability, loss bursts (radio jamming windows);
+//                they reach a net::Network only through apply_to_radio, and
+//                no campaign builds one, so they change no campaign output
 //   node      -- node_crash_rate (down for the rest of the campaign),
 //                node_sleep_rate (down for a contiguous round window)
 //   sensor    -- faulty_mic_rate (persistent wide-band noise; drives the
@@ -42,7 +44,8 @@ inline constexpr double kCorruptNanFraction = 0.5;
 
 /// Per-campaign fault configuration. All rates default to 0 (no faults).
 struct FaultPlan {
-  // --- Network faults (consumed via apply_to_radio / net::Network). ---
+  // --- Network faults (net::RadioParams via apply_to_radio; no campaign
+  //     builds a net::Network, so these are inert in every campaign). ---
   /// Probability an in-range radio delivery is dropped.
   double packet_loss_probability = 0.0;
   /// Poisson arrival rate of channel-wide loss bursts (jamming windows).

@@ -1,23 +1,21 @@
 #include "ranging/dft_detector.hpp"
 
-#include <cassert>
 #include <cmath>
 
+#include "acoustics/units.hpp"
 #include "math/constants.hpp"
 
 namespace resloc::ranging {
 
-int nearest_bin(double tone_frequency_hz, double sample_rate_hz, std::size_t window) {
-  return static_cast<int>(
-      std::lround(tone_frequency_hz / sample_rate_hz * static_cast<double>(window)));
+int nearest_bin(double tone_frequency_hz) {
+  return static_cast<int>(std::lround(tone_frequency_hz / acoustics::kSampleRateHz *
+                                      static_cast<double>(kDftWindow)));
 }
 
-GoertzelSlidingFilter::GoertzelSlidingFilter(std::size_t window, int bin)
-    : samples_(window, 0.0), cos_(window), sin_(window), bin_(bin) {
-  assert(window > 0);
-  for (std::size_t i = 0; i < window; ++i) {
+GoertzelSlidingFilter::GoertzelSlidingFilter(int bin) : bin_(bin) {
+  for (std::size_t i = 0; i < kDftWindow; ++i) {
     const double angle = 2.0 * resloc::math::kPi * static_cast<double>(bin) *
-                         static_cast<double>(i) / static_cast<double>(window);
+                         static_cast<double>(i) / static_cast<double>(kDftWindow);
     cos_[i] = std::cos(angle);
     sin_[i] = std::sin(angle);
   }
@@ -32,7 +30,7 @@ double GoertzelSlidingFilter::step(double sample) {
   re_ += delta * cos_[n_];
   im_ -= delta * sin_[n_];
   energy_ += sample * sample - old * old;
-  n_ = (n_ + 1) % samples_.size();
+  n_ = (n_ + 1) % kDftWindow;
   if (++steps_since_resync_ >= kResyncPeriod) resync();
   return re_ * re_ + im_ * im_;
 }
@@ -44,7 +42,7 @@ void GoertzelSlidingFilter::resync() {
   re_ = 0.0;
   im_ = 0.0;
   energy_ = 0.0;
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
+  for (std::size_t i = 0; i < kDftWindow; ++i) {
     re_ += samples_[i] * cos_[i];
     im_ -= samples_[i] * sin_[i];
     energy_ += samples_[i] * samples_[i];
@@ -53,24 +51,24 @@ void GoertzelSlidingFilter::resync() {
 }
 
 void GoertzelSlidingFilter::reset() {
-  samples_.assign(samples_.size(), 0.0);
+  samples_.fill(0.0);
   n_ = 0;
   steps_since_resync_ = 0;
   re_ = im_ = energy_ = 0.0;
 }
 
-GoertzelToneDetector::GoertzelToneDetector(double tone_frequency_hz, double sample_rate_hz,
-                                           std::size_t window, double noise_scale)
-    : filter_(window, nearest_bin(tone_frequency_hz, sample_rate_hz, window)),
-      noise_scale_(noise_scale) {}
+GoertzelToneDetector::GoertzelToneDetector(double tone_frequency_hz)
+    : filter_(nearest_bin(tone_frequency_hz)) {}
 
 double GoertzelToneDetector::step(double sample) {
   const double band_power = filter_.step(sample);
-  // Same automatic noise estimate as DftToneDetector: Parseval window energy
-  // scaled by the correlation margin, plus the tiny absolute floor against
-  // cancellation residue on an all-zero window.
+  // Parseval: the window's total energy equals the mean DFT bin power, which
+  // is the automatic noise estimate the paper describes; it is scaled by the
+  // correlation margin. The tiny absolute floor keeps sliding-update
+  // cancellation residue from reading as a positive detection on an all-zero
+  // window.
   constexpr double kNumericFloor = 1e-6;
-  return band_power - noise_scale_ * filter_.window_energy() - kNumericFloor;
+  return band_power - kSoftwareNoiseScale * filter_.window_energy() - kNumericFloor;
 }
 
 void GoertzelToneDetector::run_block(const double* x, std::size_t n, double* metric) {
@@ -78,101 +76,5 @@ void GoertzelToneDetector::run_block(const double* x, std::size_t n, double* met
 }
 
 void GoertzelToneDetector::reset() { filter_.reset(); }
-
-void SlidingDftFilter::reset() {
-  samples_.fill(0.0);
-  n_ = 0;
-  k_ = 0;
-  re4_ = im4_ = re6_ = im6_ = 0.0;
-  energy_ = 0.0;
-}
-
-BandPowers SlidingDftFilter::filter(double sample) {
-  // Figure 9: "sample -= samples[n], samples[n] += sample" -- i.e. compute
-  // the delta against the value leaving the window and store the new value.
-  const double old = samples_[n_];
-  const double delta = sample - old;
-  samples_[n_] = sample;
-  energy_ += sample * sample - old * old;
-
-  switch (n_ % 4) {
-    case 0: re4_ += delta; break;
-    case 1: im4_ += delta; break;
-    case 2: re4_ -= delta; break;
-    default: im4_ -= delta; break;
-  }
-  switch (k_) {
-    case 0: re6_ += 2.0 * delta; break;
-    case 1: re6_ += delta; im6_ += delta; break;
-    case 2: re6_ -= delta; im6_ += delta; break;
-    case 3: re6_ -= 2.0 * delta; break;
-    case 4: re6_ -= delta; im6_ -= delta; break;
-    default: re6_ += delta; im6_ -= delta; break;
-  }
-
-  n_ = (n_ + 1) % kWindow;
-  k_ = (k_ + 1) % 6;
-
-  return {re4_ * re4_ + im4_ * im4_, (re6_ * re6_ + 3.0 * im6_ * im6_) / 2.0};
-}
-
-DftToneDetector::DftToneDetector(int band, double noise_scale)
-    : band_(band), noise_scale_(noise_scale) {
-  assert(band == 4 || band == 6);
-}
-
-double DftToneDetector::step(double sample) {
-  const BandPowers powers = filter_.filter(sample);
-  // The Figure 9 scaling makes band_fs6 carry twice the power of band_fs4
-  // for equivalent tones; normalize so one noise estimate fits both.
-  const double band_power = band_ == 4 ? powers.band_fs4 : powers.band_fs6 / 2.0;
-  // Parseval: the window's total energy equals the mean DFT bin power, which
-  // is the automatic noise estimate the paper describes. The tiny absolute
-  // floor keeps sliding-update cancellation residue from reading as a
-  // positive detection on an all-zero window.
-  constexpr double kNumericFloor = 1e-6;
-  return band_power - noise_scale_ * filter_.window_energy() - kNumericFloor;
-}
-
-std::vector<double> DftToneDetector::run(const std::vector<double>& waveform) {
-  std::vector<double> metric;
-  run_into(waveform, metric);
-  return metric;
-}
-
-void DftToneDetector::run_into(const std::vector<double>& waveform,
-                               std::vector<double>& metric) {
-  metric.clear();
-  metric.reserve(waveform.size());
-  for (double s : waveform) metric.push_back(step(s));
-}
-
-int DftToneDetector::count_detections(const std::vector<double>& metric, int min_run,
-                                      int merge_gap) {
-  // A detection region opens when a run of `min_run` positive samples occurs
-  // outside any region, and closes after more than `merge_gap` consecutive
-  // non-positive samples; shorter gaps merge runs into one detection.
-  int detections = 0;
-  int run = 0;
-  int silence = 0;
-  bool in_region = false;
-  for (double m : metric) {
-    if (m > 0.0) {
-      ++run;
-      silence = 0;
-      if (!in_region && run >= min_run) {
-        in_region = true;
-        ++detections;
-      }
-    } else {
-      run = 0;
-      ++silence;
-      if (in_region && silence > merge_gap) in_region = false;
-    }
-  }
-  return detections;
-}
-
-void DftToneDetector::reset() { filter_.reset(); }
 
 }  // namespace resloc::ranging

@@ -1,31 +1,34 @@
 // Software tone detection for platforms without a hardware tone detector
-// (Section 3.7 / Figure 9: the XSM signal detection routine).
+// (Section 3.7: the XSM signal detection routine).
 //
-// A sliding-window DFT over the last 36 samples tracks the amplitude of two
-// beacon bands at fs/4 and fs/6. These frequencies are chosen so the complex
-// roots of unity are (0, +/-1, +/-2, +/- the sqrt(3) absorbed into the output
-// scaling), avoiding multiplications on the mote. The wrapper subtracts an
-// automatic noise estimate -- the average power across all DFT bins, obtained
-// from the window's total energy via Parseval -- so that a positive output
-// indicates a tone (the paper: "isolate the amplitude of noise and subtract
-// it from the DFT output; a positive result indicates detection of a tone").
+// A sliding-window DFT over the last kDftWindow samples tracks the amplitude
+// of the beacon band, and the wrapper subtracts an automatic noise estimate
+// -- the average power across all DFT bins, obtained from the window's total
+// energy via Parseval -- so that a positive output indicates a tone (the
+// paper: "isolate the amplitude of noise and subtract it from the DFT output;
+// a positive result indicates detection of a tone").
 //
-// Beyond the Figure 9 bands, this header provides the campaign hot path:
+// Figure 9's multiplication-free listing tracks only the fs/4 and fs/6 bands,
+// whose roots of unity are 0/+-1/+-2. The campaign path here is its
+// generalization to any bin:
 //   - GoertzelSlidingFilter: the O(1) per-sample single-bin recurrence (the
 //     sliding form of the Goertzel filter) with periodic exact resync so its
 //     output never drifts measurably from the direct sum,
-//   - GoertzelToneDetector: the noise-subtracting wrapper over the fast path
-//     for an arbitrary beacon frequency (the grass campaign chirps at
-//     4.3 kHz, which is not one of the two multiplication-free bands).
+//   - GoertzelToneDetector: the noise-subtracting wrapper over it for an
+//     arbitrary beacon frequency (the grass campaign chirps at 4.3 kHz, which
+//     is not one of the two multiplication-free bands).
+// The verbatim Figure 9 listing is the test reference
+// tests/reference/figure9_dft.hpp; at 4 kHz (bin 9 = fs/4) the two agree.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <vector>
-
-#include "acoustics/units.hpp"
 
 namespace resloc::ranging {
+
+/// Samples in the sliding DFT window: Figure 9's 36, divisible by both 4 and
+/// 6 so the fs/4 and fs/6 bands sit exactly on bins 9 and 6.
+inline constexpr std::size_t kDftWindow = 36;
 
 /// Multiplier on the Parseval noise estimate before subtraction. For white
 /// noise the expected band power roughly equals the window energy, but
@@ -33,43 +36,9 @@ namespace resloc::ranging {
 /// ~6x is needed to keep noise excursions from forming detection-length runs.
 inline constexpr double kSoftwareNoiseScale = 6.0;
 
-/// Band powers produced by one filter step, matching Figure 9's return value
-/// [(re4^2 + im4^2), (re6^2 + 3*im6^2)/2].
-struct BandPowers {
-  double band_fs4 = 0.0;  ///< power around sample_rate / 4
-  double band_fs6 = 0.0;  ///< power around sample_rate / 6
-};
-
-/// Verbatim implementation of the Figure 9 sliding-DFT filter.
-class SlidingDftFilter {
- public:
-  static constexpr std::size_t kWindow = 36;  // divisible by both 4 and 6
-
-  SlidingDftFilter() { reset(); }
-
-  /// Resets to the all-zero window (init() in Figure 9).
-  void reset();
-
-  /// Consumes one raw sample and returns the two band powers (filter() in
-  /// Figure 9).
-  BandPowers filter(double sample);
-
-  /// Sum of squared samples in the current window; by Parseval this equals
-  /// the mean DFT bin power, used as the automatic noise estimate.
-  double window_energy() const { return energy_; }
-
- private:
-  std::array<double, kWindow> samples_{};
-  std::size_t n_ = 0;  // index mod 36 (and mod 4 derived from it)
-  std::size_t k_ = 0;  // index mod 6
-  double re4_ = 0.0, im4_ = 0.0;
-  double re6_ = 0.0, im6_ = 0.0;
-  double energy_ = 0.0;
-};
-
-/// Nearest DFT bin of `window` samples at `sample_rate_hz` to a target tone
-/// frequency (what a mote picks at compile time; exposed for tests/benches).
-int nearest_bin(double tone_frequency_hz, double sample_rate_hz, std::size_t window);
+/// Nearest DFT bin of the kDftWindow-sample window at acoustics::kSampleRateHz
+/// to a target tone frequency (what a mote picks at compile time).
+int nearest_bin(double tone_frequency_hz);
 
 /// Fast sliding single-bin filter: the Goertzel recurrence in its sliding
 /// form. With the twiddle phase anchored to the absolute sample index, the
@@ -87,7 +56,7 @@ class GoertzelSlidingFilter {
   /// Steps between exact recomputations of the running sums.
   static constexpr std::size_t kResyncPeriod = 256;
 
-  explicit GoertzelSlidingFilter(std::size_t window = SlidingDftFilter::kWindow, int bin = 9);
+  explicit GoertzelSlidingFilter(int bin);
 
   /// Consumes one sample and returns the current window's bin power.
   double step(double sample);
@@ -96,15 +65,14 @@ class GoertzelSlidingFilter {
   double window_energy() const { return energy_; }
 
   void reset();
-  std::size_t window() const { return samples_.size(); }
   int bin() const { return bin_; }
 
  private:
   void resync();
 
-  std::vector<double> samples_;  ///< ring buffer; index = absolute index mod N
-  std::vector<double> cos_;      ///< cos(2*pi*bin*i/N) for i in [0, N)
-  std::vector<double> sin_;
+  std::array<double, kDftWindow> samples_{};  ///< ring; index = absolute index mod N
+  std::array<double, kDftWindow> cos_{};      ///< cos(2*pi*bin*i/N) for i in [0, N)
+  std::array<double, kDftWindow> sin_{};
   std::size_t n_ = 0;
   std::size_t steps_since_resync_ = 0;
   int bin_;
@@ -112,15 +80,11 @@ class GoertzelSlidingFilter {
   double energy_ = 0.0;
 };
 
-/// Noise-subtracting tone detector for an arbitrary beacon frequency, built
-/// on the Goertzel sliding fast path. Drop-in analogue of DftToneDetector
-/// for tones off the two multiplication-free Figure 9 bands.
+/// Noise-subtracting tone detector for the beacon frequency, built on the
+/// Goertzel sliding fast path.
 class GoertzelToneDetector {
  public:
-  explicit GoertzelToneDetector(double tone_frequency_hz = 4000.0,
-                                double sample_rate_hz = acoustics::kSampleRateHz,
-                                std::size_t window = SlidingDftFilter::kWindow,
-                                double noise_scale = kSoftwareNoiseScale);
+  explicit GoertzelToneDetector(double tone_frequency_hz);
 
   /// Feeds one sample; returns the noise-subtracted detection metric
   /// (positive indicates a tone).
@@ -137,42 +101,6 @@ class GoertzelToneDetector {
 
  private:
   GoertzelSlidingFilter filter_;
-  double noise_scale_;
-};
-
-/// Noise-subtracting tone detector built on the sliding DFT.
-class DftToneDetector {
- public:
-  /// `band` selects which Figure 9 band carries the beacon: 4 for fs/4,
-  /// 6 for fs/6. `noise_scale` multiplies the Parseval noise estimate before
-  /// subtraction; higher values demand more dominant tones.
-  DftToneDetector(int band = 4, double noise_scale = kSoftwareNoiseScale);
-
-  /// Feeds one sample; returns the noise-subtracted detection metric
-  /// (positive indicates a tone).
-  double step(double sample);
-
-  /// Convenience: runs the detector over a whole waveform and returns the
-  /// per-sample metric series.
-  std::vector<double> run(const std::vector<double>& waveform);
-
-  /// run() into a caller-owned buffer, reused across campaign pairs.
-  void run_into(const std::vector<double>& waveform, std::vector<double>& metric);
-
-  /// Counts distinct detections in a metric series: a detection is a run of
-  /// at least `min_run` consecutive samples with metric > 0; runs separated
-  /// by fewer than `merge_gap` samples are merged. The default min_run of 16
-  /// (1 ms at 16 kHz, well under the 8 ms chirp) suppresses short
-  /// noise-excursion runs.
-  static int count_detections(const std::vector<double>& metric, int min_run = 16,
-                              int merge_gap = 16);
-
-  void reset();
-
- private:
-  SlidingDftFilter filter_;
-  int band_;
-  double noise_scale_;
 };
 
 }  // namespace resloc::ranging

@@ -52,15 +52,6 @@ MeasurementTable::RobustReport MeasurementTable::robust_report(
   return report;
 }
 
-std::vector<NodeId> MeasurementTable::nodes() const {
-  std::set<NodeId> ids;
-  for (const auto& [key, _] : table_) {
-    ids.insert(key.first);
-    ids.insert(key.second);
-  }
-  return {ids.begin(), ids.end()};
-}
-
 std::vector<PairEstimate> MeasurementTable::symmetric_estimates(
     const FilterPolicy& policy, double bidirectional_tolerance_m) const {
   // Sorted-unique vector instead of a std::set: same iteration order, one

@@ -46,9 +46,6 @@ class MeasurementTable {
   /// Records one raw estimate of the distance from `from` to `to`.
   void add(NodeId from, NodeId to, double distance_m);
 
-  /// All raw estimates for the direction from -> to (empty if none).
-  const std::vector<double>& directional(NodeId from, NodeId to) const;
-
   /// Filtered estimate for the direction from -> to. `stats`, when given,
   /// receives the robust-rejection diagnostics of the underlying
   /// filter_measurements call.
@@ -63,9 +60,6 @@ class MeasurementTable {
 
   /// Total raw measurements stored.
   std::size_t measurement_count() const { return total_; }
-
-  /// Distinct node ids seen.
-  std::vector<NodeId> nodes() const;
 
   /// Symmetric pair estimates: for each unordered pair with at least one
   /// direction measured, filter both directions. If both exist and differ by
@@ -97,6 +91,9 @@ class MeasurementTable {
   RobustReport robust_report(const FilterPolicy& policy) const;
 
  private:
+  /// All raw estimates for the direction from -> to (empty if none).
+  const std::vector<double>& directional(NodeId from, NodeId to) const;
+
   Entries table_;
   std::size_t total_ = 0;
 };

@@ -297,8 +297,7 @@ void RangingService::prepare_goertzel(RangingScratch& scratch) const {
   // is rebuilt only when a scratch migrates to a service whose tone lands on
   // another bin; otherwise one detector is reset and reused for every pair.
   const double frequency_hz = config_.pattern.tone_frequency_hz;
-  const int bin =
-      nearest_bin(frequency_hz, acoustics::kSampleRateHz, SlidingDftFilter::kWindow);
+  const int bin = nearest_bin(frequency_hz);
   if (!scratch.goertzel || scratch.goertzel->bin() != bin) {
     scratch.goertzel.emplace(frequency_hz);
   } else {
@@ -313,13 +312,13 @@ void RangingService::goertzel_window(const acoustics::ReceivedWindow& window,
   prepare_goertzel(scratch);
   synthesize_window(window, mic, rng, scratch);
   // The tone's absolute phase is irrelevant to the single-bin power. The
-  // metric at step i covers samples (i - kWindow, i], so the series is
+  // metric at step i covers samples (i - kDftWindow, i], so the series is
   // shifted left by the half-window group delay to line onsets up with the
   // hardware detector's per-sample convention; the residual latency is
   // within the actuation-jitter budget.
   RESLOC_SPAN("ranging/detection/goertzel");
   scratch.goertzel->run_block(scratch.audio.data(), n, scratch.dsp.metric.data());
-  constexpr std::size_t kGroupDelay = SlidingDftFilter::kWindow / 2;
+  constexpr std::size_t kGroupDelay = kDftWindow / 2;
   const std::size_t live = n > kGroupDelay ? n - kGroupDelay : 0;
   std::uint8_t* fired = scratch.dsp.fired.data();
   const double* metric = scratch.dsp.metric.data();
@@ -371,8 +370,8 @@ acoustics::ToneTemplateView RangingService::synthesize_window(
                 std::uint8_t{1});
     }
   }
-  const acoustics::ToneTemplateView tone = scratch.synth.tone_template_view(
-      acoustics::kSampleRateHz, config_.pattern.tone_frequency_hz, n);
+  const acoustics::ToneTemplateView tone =
+      scratch.synth.tone_template_view(config_.pattern.tone_frequency_hz, n);
   {
     RESLOC_SPAN("ranging/synthesis/noise");
     rng.fill_gaussian_block(scratch.dsp.noise.data(), n);

@@ -137,10 +137,10 @@ TrialOutcome CampaignRunner::run_trial(const SweepSpec& spec, const TrialSpec& t
         config.campaign.ranging.detector_mode = ranging::detector_mode_by_name(trial.detector);
       }
       if (!trial.fault_kind.empty()) {
-        // Fault axis: the named plan at the cell's intensity drives both the
-        // acoustic campaign (availability, mics, detectors, corruption) and
-        // -- where a net::Network is built from campaign radio params -- the
-        // radio loss model. Unknown kinds throw here (a config failure).
+        // Fault axis: the named plan at the cell's intensity drives the
+        // acoustic campaign (availability, mics, detectors, corruption). Its
+        // radio loss fields reach nothing: no campaign builds a net::Network.
+        // Unknown kinds throw here (a config failure).
         config.campaign.faults =
             fault::plan_from_kind(trial.fault_kind, trial.fault_intensity);
       }

@@ -6,7 +6,6 @@
 // It exists to be benchmarked against and to pin the fast path's numerics.
 #pragma once
 
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -18,10 +17,7 @@ namespace resloc::reference {
 
 class DirectDftFilter {
  public:
-  explicit DirectDftFilter(std::size_t window = ranging::SlidingDftFilter::kWindow, int bin = 9)
-      : samples_(window, 0.0), bin_(bin) {
-    assert(window > 0);
-  }
+  explicit DirectDftFilter(int bin) : samples_(ranging::kDftWindow, 0.0), bin_(bin) {}
 
   /// Consumes one sample and returns the current window's bin power. Sample
   /// t lives at ring position t mod window, so the storage index doubles as
@@ -52,7 +48,6 @@ class DirectDftFilter {
     n_ = 0;
     energy_ = 0.0;
   }
-  std::size_t window() const { return samples_.size(); }
   int bin() const { return bin_; }
 
  private:

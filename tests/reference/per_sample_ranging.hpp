@@ -246,9 +246,8 @@ inline void goertzel_window(const ranging::RangingConfig& config, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     scratch.tone_table[i] = std::sin(step * static_cast<double>(i));
   }
-  ranging::GoertzelToneDetector detector(frequency_hz, fs, ranging::SlidingDftFilter::kWindow,
-                                         ranging::kSoftwareNoiseScale);
-  constexpr std::size_t kGroupDelay = ranging::SlidingDftFilter::kWindow / 2;
+  ranging::GoertzelToneDetector detector(frequency_hz);
+  constexpr std::size_t kGroupDelay = ranging::kDftWindow / 2;
   scratch.fired.assign(n, false);
   for (std::size_t i = 0; i < n; ++i) {
     const double sigma = scratch.burst[i] != 0 ? kBurstNoiseSigma : 1.0;
@@ -265,7 +264,7 @@ inline void ncc_window(const ranging::RangingConfig& config, std::size_t n,
   const double fs = acoustics::kSampleRateHz;
   rasterize_envelope(n, mic, scratch);
   const acoustics::ToneTemplateView tpl =
-      scratch.synth.tone_template_view(fs, config.pattern.tone_frequency_hz, n);
+      scratch.synth.tone_template_view(config.pattern.tone_frequency_hz, n);
   scratch.audio.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double sigma = scratch.burst[i] != 0 ? kBurstNoiseSigma : 1.0;

@@ -8,10 +8,10 @@
 
 #include <cmath>
 
-#include "acoustics/signal_synth.hpp"
 #include "pipeline/localization_pipeline.hpp"
 #include "ranging/dft_detector.hpp"
 #include "reference/direct_dft.hpp"
+#include "reference/figure9_dft.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/sweep_spec.hpp"
 #include "sim/deployments.hpp"
@@ -70,19 +70,17 @@ TEST(AcousticRegression, GoertzelMatchesDirectDftOnSharedTones) {
   // One noisy capture with in-band chirps, run through both filters at two
   // different bins; the sliding recurrence must track the direct sum to
   // better than 1e-9 in magnitude at every sample.
-  resloc::acoustics::WaveformSpec spec;
+  resloc::reference::WaveformSpec spec;
   spec.tone_frequency_hz = 4300.0;
   spec.tone_amplitude = 1.0;
   spec.noise_stddev = 0.5;
   Rng rng(0xD1F7);
-  resloc::acoustics::WaveformSynthesizer synth;
-  std::vector<double> wave;
-  synth.synthesize_into(wave, spec, resloc::acoustics::periodic_chirps(8, 50, 420, 128), 4096,
-                        rng);
+  const std::vector<double> wave = resloc::reference::synthesize_waveform(
+      spec, resloc::reference::periodic_chirps(8, 50, 420, 128), 4096, rng);
 
   for (const int bin : {9, 10, 6}) {
-    resloc::reference::DirectDftFilter direct(resloc::ranging::SlidingDftFilter::kWindow, bin);
-    resloc::ranging::GoertzelSlidingFilter fast(resloc::ranging::SlidingDftFilter::kWindow, bin);
+    resloc::reference::DirectDftFilter direct(bin);
+    resloc::ranging::GoertzelSlidingFilter fast(bin);
     double max_delta = 0.0;
     for (double s : wave) {
       const double d = std::abs(std::sqrt(direct.step(s)) - std::sqrt(fast.step(s)));
@@ -95,18 +93,16 @@ TEST(AcousticRegression, GoertzelMatchesDirectDftOnSharedTones) {
 TEST(AcousticRegression, GoertzelBinFourMatchesFigureNineBand) {
   // At bin 9 of 36 (= fs/4) the generic recurrence reproduces the
   // multiplication-free Figure 9 band power exactly (up to rounding).
-  resloc::acoustics::WaveformSpec spec;
+  resloc::reference::WaveformSpec spec;
   spec.tone_frequency_hz = 4000.0;
   spec.tone_amplitude = 1.0;
   spec.noise_stddev = 0.3;
   Rng rng(0xF19);
-  resloc::acoustics::WaveformSynthesizer synth;
-  std::vector<double> wave;
-  synth.synthesize_into(wave, spec, resloc::acoustics::periodic_chirps(4, 64, 400, 128), 2048,
-                        rng);
+  const std::vector<double> wave = resloc::reference::synthesize_waveform(
+      spec, resloc::reference::periodic_chirps(4, 64, 400, 128), 2048, rng);
 
-  resloc::ranging::SlidingDftFilter fig9;
-  resloc::ranging::GoertzelSlidingFilter fast(resloc::ranging::SlidingDftFilter::kWindow, 9);
+  resloc::reference::SlidingDftFilter fig9;
+  resloc::ranging::GoertzelSlidingFilter fast(9);
   for (double s : wave) {
     const double band = fig9.filter(s).band_fs4;
     const double power = fast.step(s);

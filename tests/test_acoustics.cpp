@@ -9,16 +9,19 @@
 #include "acoustics/chirp_pattern.hpp"
 #include "acoustics/environment.hpp"
 #include "acoustics/propagation.hpp"
-#include "acoustics/signal_synth.hpp"
 #include "acoustics/tone_detector.hpp"
 #include "acoustics/units.hpp"
 #include "math/rng.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/figure9_dft.hpp"
 
 namespace {
 
 using namespace resloc::acoustics;
 using resloc::math::Rng;
+using resloc::reference::periodic_chirps;
+using resloc::reference::synthesize_waveform;
+using resloc::reference::WaveformSpec;
 
 /// One chirp window through the production detector kernels: firing
 /// threshold runs, then one Bernoulli draw per sample folded into a fresh

@@ -351,8 +351,8 @@ TEST(GoertzelBlock, RunBlockMatchesStepAcrossResync) {
     Rng rng(3 + n, 4);
     std::vector<double> x(n);
     for (double& v : x) v = rng.gaussian(0.0, 1.0) + 0.5 * rng.uniform();
-    ranging::GoertzelToneDetector blk(4300.0, 16000.0);
-    ranging::GoertzelToneDetector ref(4300.0, 16000.0);
+    ranging::GoertzelToneDetector blk(4300.0);
+    ranging::GoertzelToneDetector ref(4300.0);
     std::vector<double> metric(n, 0.0);
     blk.run_block(x.data(), n, metric.data());
     for (std::size_t i = 0; i < n; ++i) {
@@ -390,7 +390,7 @@ TEST(MatchedFilterBlock, ByteMarksMatchBoolMarks) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(64, 900));
     const std::size_t chirp = 128;
-    const acoustics::ToneTemplateView tpl = synth.tone_template_view(16000.0, 4300.0, n);
+    const acoustics::ToneTemplateView tpl = synth.tone_template_view(4300.0, n);
     std::vector<double> x(n);
     for (std::size_t i = 0; i < n; ++i) {
       const bool in_chirp = i >= n / 3 && i < n / 3 + chirp;

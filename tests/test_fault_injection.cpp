@@ -298,4 +298,50 @@ TEST(FaultInjection, FaultedCampaignIsThreadCountInvariant) {
   EXPECT_NE(clean.raw.measurement_count(), sequential.raw.measurement_count());
 }
 
+// Pins a known gap: no campaign builds a net::Network, so the packet-loss
+// kind (a radio fault, reaching radios only through apply_to_radio) changes
+// no byte of an acoustic campaign at any intensity. Routing FaultPlan
+// through the alignment protocol is what makes the kind take effect; this
+// test changes then, on purpose.
+TEST(FaultInjection, PacketLossLeavesAcousticCampaignUnchanged) {
+  resloc::sim::ScenarioParams params;
+  params.node_count = 25;
+  Rng scenario_rng(5);
+  const resloc::core::Deployment deployment =
+      resloc::sim::build_scenario("grass_grid", params, scenario_rng);
+  resloc::sim::FieldExperimentConfig config = resloc::sim::grass_campaign_config();
+
+  Rng rng_inert(31);
+  const auto inert = resloc::sim::run_field_experiment(deployment, config, rng_inert);
+  ASSERT_GT(inert.raw.measurement_count(), 0u);
+  ASSERT_FALSE(inert.filtered.empty());
+  for (const double intensity : {0.5, 1.0, 2.0}) {
+    config.faults = resloc::fault::plan_from_kind("packet_loss", intensity);
+    ASSERT_TRUE(config.faults.enabled());
+    Rng rng(31);
+    const auto lossy = resloc::sim::run_field_experiment(deployment, config, rng);
+
+    const auto& raw_inert = inert.raw.entries();
+    const auto& raw_lossy = lossy.raw.entries();
+    ASSERT_EQ(raw_inert.size(), raw_lossy.size()) << intensity;
+    for (auto a = raw_inert.begin(), b = raw_lossy.begin(); a != raw_inert.end(); ++a, ++b) {
+      ASSERT_EQ(a->first, b->first);
+      ASSERT_EQ(a->second.size(), b->second.size());
+      EXPECT_EQ(
+          std::memcmp(a->second.data(), b->second.data(), a->second.size() * sizeof(double)), 0)
+          << intensity << ": " << a->first.first << "->" << a->first.second;
+    }
+    ASSERT_EQ(inert.filtered.size(), lossy.filtered.size()) << intensity;
+    for (std::size_t k = 0; k < inert.filtered.size(); ++k) {
+      EXPECT_EQ(inert.filtered[k].a, lossy.filtered[k].a) << k;
+      EXPECT_EQ(inert.filtered[k].b, lossy.filtered[k].b) << k;
+      EXPECT_EQ(std::memcmp(&inert.filtered[k].distance_m, &lossy.filtered[k].distance_m,
+                            sizeof(double)),
+                0)
+          << intensity << ": pair " << k;
+      EXPECT_EQ(inert.filtered[k].bidirectional, lossy.filtered[k].bidirectional) << k;
+    }
+  }
+}
+
 }  // namespace

@@ -253,7 +253,7 @@ TEST(MeasurementTable, EmptyTableProducesNothing) {
   const MeasurementTable table;
   EXPECT_EQ(table.measurement_count(), 0u);
   EXPECT_EQ(table.directed_pair_count(), 0u);
-  EXPECT_TRUE(table.nodes().empty());
+  EXPECT_TRUE(table.entries().empty());
   EXPECT_TRUE(table.symmetric_estimates(FilterPolicy{}, 1.0).empty());
   EXPECT_TRUE(table.bidirectional_only(FilterPolicy{}, 1.0).empty());
 }

@@ -11,9 +11,9 @@
 #include "math/procrustes.hpp"
 #include "math/rng.hpp"
 #include "math/transform2d.hpp"
-#include "ranging/dft_detector.hpp"
 #include "ranging/statistical_filter.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/figure9_dft.hpp"
 #include "sim/deployments.hpp"
 #include "sim/measurement_gen.hpp"
 
@@ -140,8 +140,8 @@ class DftPhaseSweep : public ::testing::TestWithParam<int> {};
 TEST_P(DftPhaseSweep, InBandToneDetectedAtAnyPhase) {
   const double phase =
       static_cast<double>(GetParam()) / 8.0 * 2.0 * resloc::math::kPi;
-  resloc::ranging::SlidingDftFilter filter;
-  resloc::ranging::BandPowers last{};
+  resloc::reference::SlidingDftFilter filter;
+  resloc::reference::BandPowers last{};
   for (int i = 0; i < 144; ++i) {
     last = filter.filter(100.0 * std::sin(resloc::math::kPi / 2.0 * i + phase));
   }

@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include "math/constants.hpp"
+#include <cstdint>
+#include <vector>
 
-#include "acoustics/signal_synth.hpp"
+#include "math/constants.hpp"
 #include "math/rng.hpp"
 #include "ranging/dft_detector.hpp"
 #include "ranging/signal_detection.hpp"
+#include "reference/figure9_dft.hpp"
 
 namespace {
 
 using namespace resloc::ranging;
 using resloc::math::Rng;
+using resloc::reference::BandPowers;
+using resloc::reference::DftToneDetector;
+using resloc::reference::SlidingDftFilter;
 
 /// detect-signal: the scanner's first candidate.
 int detect_signal(const std::vector<std::uint8_t>& samples, const DetectionParams& params) {
@@ -191,7 +196,7 @@ TEST(SlidingDft, SlidingUpdateMatchesBatchRecompute) {
   BandPowers batch{};
   // Zero-pad so that the fresh filter's ring-buffer slot phase (n mod 4,
   // k mod 6) matches the streamed filter's: 200 mod 36 alignment.
-  const std::size_t start = history.size() - SlidingDftFilter::kWindow;
+  const std::size_t start = history.size() - kDftWindow;
   for (std::size_t i = 0; i < start; ++i) fresh.filter(0.0);
   for (std::size_t i = start; i < history.size(); ++i) batch = fresh.filter(history[i]);
   EXPECT_NEAR(batch.band_fs4, streamed.band_fs4, 1e-6);
@@ -199,12 +204,12 @@ TEST(SlidingDft, SlidingUpdateMatchesBatchRecompute) {
 }
 
 TEST(DftToneDetector, DetectsCleanChirps) {
-  resloc::acoustics::WaveformSpec spec;
+  resloc::reference::WaveformSpec spec;
   spec.tone_frequency_hz = 4000.0;  // fs/4 at 16 kHz
   spec.noise_stddev = 0.0;
   Rng rng(18);
-  const auto chirps = resloc::acoustics::periodic_chirps(4, 100, 400, 128);
-  const auto wave = resloc::acoustics::synthesize_waveform(spec, chirps, 1800, rng);
+  const auto chirps = resloc::reference::periodic_chirps(4, 100, 400, 128);
+  const auto wave = resloc::reference::synthesize_waveform(spec, chirps, 1800, rng);
   DftToneDetector detector(4);
   const auto metric = detector.run(wave);
   EXPECT_EQ(DftToneDetector::count_detections(metric), 4);
@@ -213,13 +218,13 @@ TEST(DftToneDetector, DetectsCleanChirps) {
 TEST(DftToneDetector, NoisySignalStillMostlyDetected) {
   // The Figure 10 situation: noisy capture; most chirps found, no false
   // positives from noise alone.
-  resloc::acoustics::WaveformSpec spec;
+  resloc::reference::WaveformSpec spec;
   spec.tone_frequency_hz = 4000.0;
   spec.tone_amplitude = 1000.0;
   spec.noise_stddev = 300.0;
   Rng rng(19);
-  const auto chirps = resloc::acoustics::periodic_chirps(4, 100, 400, 128);
-  const auto wave = resloc::acoustics::synthesize_waveform(spec, chirps, 1800, rng);
+  const auto chirps = resloc::reference::periodic_chirps(4, 100, 400, 128);
+  const auto wave = resloc::reference::synthesize_waveform(spec, chirps, 1800, rng);
   DftToneDetector detector(4);
   const auto metric = detector.run(wave);
   const int found = DftToneDetector::count_detections(metric);
@@ -228,27 +233,56 @@ TEST(DftToneDetector, NoisySignalStillMostlyDetected) {
 }
 
 TEST(DftToneDetector, PureNoiseYieldsNoDetections) {
-  resloc::acoustics::WaveformSpec spec;
+  resloc::reference::WaveformSpec spec;
   spec.tone_amplitude = 0.0;
   spec.noise_stddev = 400.0;
   Rng rng(20);
-  const auto wave = resloc::acoustics::synthesize_waveform(spec, {}, 4000, rng);
+  const auto wave = resloc::reference::synthesize_waveform(spec, {}, 4000, rng);
   DftToneDetector detector(4);
   const auto metric = detector.run(wave);
   EXPECT_EQ(DftToneDetector::count_detections(metric), 0);
 }
 
 TEST(DftToneDetector, OffBandInterferenceRejected) {
-  resloc::acoustics::WaveformSpec spec;
+  resloc::reference::WaveformSpec spec;
   spec.tone_amplitude = 0.0;
   spec.interference_frequency_hz = 1777.0;  // strong off-band interferer
   spec.interference_amplitude = 800.0;
   spec.noise_stddev = 50.0;
   Rng rng(21);
-  const auto wave = resloc::acoustics::synthesize_waveform(spec, {}, 4000, rng);
+  const auto wave = resloc::reference::synthesize_waveform(spec, {}, 4000, rng);
   DftToneDetector detector(4);
   const auto metric = detector.run(wave);
   EXPECT_EQ(DftToneDetector::count_detections(metric), 0);
+}
+
+TEST(DftToneDetector, ProductionGoertzelMatchesFigureNineOnFigureTenCaptures) {
+  // bench_paper's Fig 10 rows run the production Goertzel detector at 4 kHz
+  // (bin 9 = fs/4) over the Figure 10 captures; the Figure 9 listing must
+  // give the same per-sample decisions and the same detection counts.
+  struct Capture {
+    double noise_stddev, tone_amplitude;
+    std::uint64_t seed;
+  };
+  for (const Capture c : {Capture{0.0, 1000.0, 0xF16'10}, Capture{450.0, 1000.0, 0xF16'10},
+                          Capture{450.0, 0.0, 0xF16'11}}) {
+    resloc::reference::WaveformSpec spec;
+    spec.tone_frequency_hz = 4000.0;
+    spec.tone_amplitude = c.tone_amplitude;
+    spec.noise_stddev = c.noise_stddev;
+    Rng rng(c.seed);
+    const std::vector<double> wave = resloc::reference::synthesize_waveform(
+        spec, resloc::reference::periodic_chirps(4, 100, 420, 128), 1900, rng);
+    const std::vector<double> fig9 = DftToneDetector(4).run(wave);
+    std::vector<double> goertzel(wave.size());
+    GoertzelToneDetector(4000.0).run_block(wave.data(), wave.size(), goertzel.data());
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      ASSERT_EQ(fig9[i] > 0.0, goertzel[i] > 0.0)
+          << "sigma " << c.noise_stddev << " amplitude " << c.tone_amplitude << " i " << i;
+    }
+    EXPECT_EQ(DftToneDetector::count_detections(fig9),
+              DftToneDetector::count_detections(goertzel));
+  }
 }
 
 TEST(DftToneDetector, CountDetectionsMergesCloseRuns) {
