@@ -34,7 +34,6 @@
 // Results are printed and written as JSON (default BENCH_campaign.json, or
 // argv[1]) so CI can archive the perf trajectory alongside BENCH_lss.json.
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +43,7 @@
 #include <tuple>
 #include <vector>
 
+#include "bench_timing.hpp"
 #include "eval/aggregate.hpp"
 #include "math/grid_pairs.hpp"
 #include "reference/dense_campaign.hpp"
@@ -52,6 +52,7 @@
 #include "sim/scenarios.hpp"
 
 using namespace resloc;
+using namespace resloc::bench;
 
 // --- Global allocation counter (this binary only). ---
 namespace {
@@ -69,24 +70,6 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    const double dt = now_s() - t0;
-    if (dt < best) best = dt;
-  }
-  return best;
-}
 
 volatile std::size_t g_sink = 0;  // keeps campaign results alive in timed loops
 

@@ -23,7 +23,6 @@
 // scratch, and this bench then merges its block into the existing file
 // (replacing any previous "detector_accuracy" member).
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "acoustics/environment.hpp"
+#include "bench_timing.hpp"
 #include "eval/aggregate.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
@@ -39,26 +39,9 @@
 #include "ranging/tdoa.hpp"
 
 using namespace resloc;
+using namespace resloc::bench;
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    const double dt = now_s() - t0;
-    if (dt < best) best = dt;
-  }
-  return best;
-}
 
 volatile double g_sink = 0.0;
 

@@ -23,7 +23,6 @@
 //
 // Results are printed and written as JSON (default BENCH_lss.json, or
 // argv[1]) so CI can archive the perf trajectory alongside BENCH_ranging.json.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -31,6 +30,7 @@
 
 #include "core/dv_hop.hpp"
 #include "core/lss.hpp"
+#include "bench_timing.hpp"
 #include "eval/aggregate.hpp"
 #include "eval/metrics.hpp"
 #include "reference/dense_lss.hpp"
@@ -39,27 +39,9 @@
 #include "sim/scenario_registry.hpp"
 
 using namespace resloc;
+using namespace resloc::bench;
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-`reps` wall time of `fn` (seconds).
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    const double dt = now_s() - t0;
-    if (dt < best) best = dt;
-  }
-  return best;
-}
 
 volatile double g_sink = 0.0;  // keeps the timed loops from being optimized away
 

@@ -19,12 +19,12 @@
 // Results are printed and written as JSON (default BENCH_obs.json, or
 // argv[1]); a failed gate exits nonzero so CI blocks on regressions.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_timing.hpp"
 #include "eval/aggregate.hpp"
 #include "math/rng.hpp"
 #include "obs/telemetry.hpp"
@@ -34,14 +34,9 @@
 #include "sim/scenarios.hpp"
 
 using namespace resloc;
+using namespace resloc::bench;
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 volatile std::size_t g_sink = 0;
 

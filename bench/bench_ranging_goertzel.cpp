@@ -11,40 +11,21 @@
 //
 // Results are printed and written as JSON (default BENCH_ranging.json, or
 // argv[1]) so CI can archive the perf trajectory.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench_timing.hpp"
 #include "eval/aggregate.hpp"
 #include "ranging/dft_detector.hpp"
 #include "reference/direct_dft.hpp"
 #include "reference/figure9_dft.hpp"
 
 using namespace resloc;
+using namespace resloc::bench;
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-`reps` wall time of `fn` (seconds). Best-of suppresses scheduler
-/// noise without needing long runs.
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    const double dt = now_s() - t0;
-    if (dt < best) best = dt;
-  }
-  return best;
-}
 
 volatile double g_sink = 0.0;  // keeps the timed loops from being optimized away
 

@@ -4,7 +4,7 @@
 // transforms to its neighbors' maps via the closed-form method, and the
 // network aligns itself by flooding the root's coordinate frame -- first with
 // the graph-driven reference implementation, then as an actual message
-// protocol over the discrete-event radio simulator with drifting clocks.
+// protocol over the discrete-event radio simulator.
 #include <cstdio>
 
 #include "core/alignment_protocol.hpp"
@@ -39,7 +39,7 @@ int main() {
               graph_rep.total_nodes, graph_rep.average_error_m);
 
   // Event-driven: local maps exchanged and the origin/axes flooded over the
-  // simulated radio (drifting clocks, delivery jitter).
+  // simulated radio (delivery latency and jitter).
   net::RadioParams radio;
   radio.range_m = 50.0;
   const auto protocol = core::run_alignment_protocol(graph_run.maps, root, town.positions,

@@ -3,40 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "acoustics/propagation.hpp"
-
 namespace resloc::acoustics {
 
-ReceivedWindow receive(const std::vector<Emission>& emissions, double window_start_s,
-                       double window_duration_s, double distance_m, const SpeakerUnit& speaker,
-                       const MicUnit& mic, const EnvironmentProfile& env,
-                       const ChannelJitter& jitter, resloc::math::Rng& rng) {
-  ReceivedWindow window;
-  receive_into(window, emissions, window_start_s, window_duration_s, distance_m, speaker, mic,
-               env, jitter, rng);
-  return window;
-}
-
 LinkResponse link_response(double distance_m, const EnvironmentProfile& env) {
-  // The same constants and association order as propagation.hpp's
-  // received_level_db, split at the distance-dependent seam.
-  constexpr double kReferenceDistanceM = 0.1;
+  constexpr double kReferenceDistanceM = 0.1;  // speaker levels are quoted at 10 cm
   const double d = std::max(distance_m, kReferenceDistanceM);
   LinkResponse link;
   link.distance_m = distance_m;
   link.spreading_db = 20.0 * std::log10(d / kReferenceDistanceM);
-  link.excess_db = env.excess_attenuation_db_per_m * d;  // d, not distance_m:
-  // received_level_db applies the excess term to the clamped distance too.
+  link.excess_db = env.excess_attenuation_db_per_m * d;  // clamped distance, as spreading
   link.travel_s = distance_m / kSpeedOfSoundMps;
   return link;
-}
-
-void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions,
-                  double window_start_s, double window_duration_s, double distance_m,
-                  const SpeakerUnit& speaker, const MicUnit& mic, const EnvironmentProfile& env,
-                  const ChannelJitter& jitter, resloc::math::Rng& rng) {
-  receive_into(window, emissions, window_start_s, window_duration_s,
-               link_response(distance_m, env), speaker, mic, env, jitter, rng);
 }
 
 void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions,
@@ -49,10 +26,7 @@ void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions
   window.duration_s = window_duration_s;
   const double window_end = window_start_s + window_duration_s;
 
-  // Bit-identical recomposition of propagation.hpp's snr_db:
-  //   received = (source - spreading) - excess; snr = (received + sens) - floor
-  // with the cached spreading/excess terms standing in for the per-call
-  // log10 and multiply.
+  // received = (source - spreading) - excess; snr = (received + sens) - floor
   const double direct_snr =
       (((speaker.effective_db() - link.spreading_db) - link.excess_db) +
        mic.sensitivity_db) -

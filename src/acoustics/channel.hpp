@@ -4,7 +4,7 @@
 //
 // Error sources modeled here (Section 3.4 of the paper):
 //   2. non-deterministic delays in acoustic devices (speaker power-up jitter),
-//   4. signal attenuation (via propagation.hpp),
+//   4. signal attenuation (link_response below),
 //   5. noise (burst windows with elevated false-positive probability),
 //   6. echoes (delayed, attenuated copies; echoes of *earlier* chirps can
 //      arrive before the direct signal of the current chirp and cause the
@@ -69,12 +69,13 @@ inline constexpr double kRampupPenaltyDb = 5.0;
 
 /// The distance-dependent pieces of the channel response, computed once per
 /// (distance, environment) and reusable across every chirp window, round,
-/// and direction of a link: the spreading loss (environment-independent),
+/// and direction of a link: the spreading loss from the 10 cm reference
+/// distance at which speaker levels are quoted (environment-independent),
 /// the excess attenuation (linear in distance), and the acoustic travel
 /// time. Everything else in the received SNR -- speaker level, shadowing,
 /// mic sensitivity, noise floor -- varies per unit or per attempt and is
-/// composed on top in exactly the association order propagation.hpp uses,
-/// so cached and uncached windows are bit-identical.
+/// composed on top by receive_into:
+///   snr = (((source - spreading) - excess) + mic sensitivity) - noise floor.
 struct LinkResponse {
   double distance_m = 0.0;
   double spreading_db = 0.0;  ///< 20 * log10(max(d, 10 cm) / 10 cm)
@@ -85,27 +86,14 @@ struct LinkResponse {
 /// Computes the reusable channel response for one link distance.
 LinkResponse link_response(double distance_m, const EnvironmentProfile& env);
 
-/// Builds the received window for one receiver at `distance_m` from the
-/// source. `emissions` must include every chirp whose direct signal or echo
-/// can fall inside the window (i.e. also the previous chirp). A jitter or
-/// echo value that cannot reach the window is skipped (Rng::skip_gaussian,
-/// skip_exponential), which leaves the generator exactly where drawing it
-/// would.
-ReceivedWindow receive(const std::vector<Emission>& emissions, double window_start_s,
-                       double window_duration_s, double distance_m, const SpeakerUnit& speaker,
-                       const MicUnit& mic, const EnvironmentProfile& env,
-                       const ChannelJitter& jitter, resloc::math::Rng& rng);
-
-/// receive() into a caller-owned window, reusing its signal/burst vectors
-/// across a campaign's pairs. Draw-for-draw identical to receive().
-void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions,
-                  double window_start_s, double window_duration_s, double distance_m,
-                  const SpeakerUnit& speaker, const MicUnit& mic, const EnvironmentProfile& env,
-                  const ChannelJitter& jitter, resloc::math::Rng& rng);
-
-/// receive_into() with the distance-dependent response precomputed (usually
-/// by a sim::ChannelResponseCache). Value- and draw-identical to the
-/// distance-taking overload for link == link_response(distance_m, env).
+/// Builds the received window for one receiver of a link into a
+/// caller-owned window, reusing its signal/burst vectors across a campaign's
+/// pairs. `link` is the link's precomputed response (usually from a
+/// sim::ChannelResponseCache). `emissions` must include every chirp whose
+/// direct signal or echo can fall inside the window (i.e. also the previous
+/// chirp). A jitter or echo value that cannot reach the window is skipped
+/// (Rng::skip_gaussian, skip_exponential), which leaves the generator
+/// exactly where drawing it would.
 void receive_into(ReceivedWindow& window, const std::vector<Emission>& emissions,
                   double window_start_s, double window_duration_s, const LinkResponse& link,
                   const SpeakerUnit& speaker, const MicUnit& mic, const EnvironmentProfile& env,

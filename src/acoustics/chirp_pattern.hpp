@@ -30,10 +30,8 @@ struct ChirpPattern {
 };
 
 /// Emission start times (seconds, relative to the sequence start) for each
-/// chirp, including the per-chirp random delays.
-std::vector<double> chirp_start_times(const ChirpPattern& pattern, resloc::math::Rng& rng);
-
-/// chirp_start_times() into a caller-owned buffer, reused across sequences.
+/// chirp, including the per-chirp random delays, into a caller-owned buffer
+/// reused across sequences.
 void chirp_start_times_into(const ChirpPattern& pattern, resloc::math::Rng& rng,
                             std::vector<double>& starts);
 

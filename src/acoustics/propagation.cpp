@@ -1,49 +1,18 @@
 #include "acoustics/propagation.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace resloc::acoustics {
 
 namespace {
-constexpr double kReferenceDistanceM = 0.1;  // speaker levels are quoted at 10 cm
 constexpr double kSnr50Db = 10.0;            // SNR of 50% per-sample detection
 constexpr double kSnrSlopeDb = 3.0;          // logistic slope
 constexpr double kMaxHitProbability = 0.95;  // detector misses even strong tones
 }  // namespace
 
-double received_level_db(double source_db, double distance_m, const EnvironmentProfile& env) {
-  const double d = std::max(distance_m, kReferenceDistanceM);
-  const double spreading = 20.0 * std::log10(d / kReferenceDistanceM);
-  return source_db - spreading - env.excess_attenuation_db_per_m * d;
-}
-
-double snr_db(double source_db, double distance_m, double mic_sensitivity_db,
-              const EnvironmentProfile& env) {
-  return received_level_db(source_db, distance_m, env) + mic_sensitivity_db -
-         env.noise_floor_db;
-}
-
 double detection_probability(double snr_db_value) {
   const double logistic = 1.0 / (1.0 + std::exp(-(snr_db_value - kSnr50Db) / kSnrSlopeDb));
   return kMaxHitProbability * logistic;
-}
-
-double range_for_detection_probability(double source_db, double mic_sensitivity_db,
-                                       const EnvironmentProfile& env, double target) {
-  double lo = 0.1;
-  double hi = 200.0;
-  // detection probability decreases monotonically with distance
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    const double p = detection_probability(snr_db(source_db, mid, mic_sensitivity_db, env));
-    if (p > target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
 }
 
 }  // namespace resloc::acoustics

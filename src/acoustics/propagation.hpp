@@ -1,38 +1,23 @@
-// Acoustic propagation: received level, SNR, and the per-sample detection
-// probability of the hardware tone detector as a function of SNR.
+// The per-sample detection probability of the hardware tone detector as a
+// function of SNR.
 //
-// The model is: spherical spreading from the 10 cm reference distance plus a
-// linear excess-attenuation term (environment), giving a received level; SNR
-// against the environment noise floor; and a logistic mapping from SNR to the
-// probability that one 16 kHz sample of the phase-locked-loop tone detector
-// reports "tone present". This reproduces the paper's observation that
-// P[b(t)=1 | signal present] >> P[b(t)=1 | no signal] (Section 3.5) while
-// degrading smoothly with distance, which yields the distance-dependent
-// large-error behaviour of Figure 8.
+// The received level itself -- spherical spreading from the 10 cm reference
+// distance plus a linear excess-attenuation term -- is channel.hpp's
+// link_response, composed with the speaker level, mic sensitivity and noise
+// floor into the SNR each received interval carries. A logistic maps that
+// SNR to the probability that one 16 kHz sample of the phase-locked-loop
+// tone detector reports "tone present". This reproduces the paper's
+// observation that P[b(t)=1 | signal present] >> P[b(t)=1 | no signal]
+// (Section 3.5) while degrading smoothly with distance, which yields the
+// distance-dependent large-error behaviour of Figure 8.
 #pragma once
 
-#include "acoustics/environment.hpp"
-
 namespace resloc::acoustics {
-
-/// Received signal level (dB) at `distance_m` from a source emitting
-/// `source_db` measured at the 10 cm reference distance.
-double received_level_db(double source_db, double distance_m, const EnvironmentProfile& env);
-
-/// SNR (dB) of the received signal over the environment's noise floor, with
-/// `mic_sensitivity_db` applied to the received level.
-double snr_db(double source_db, double distance_m, double mic_sensitivity_db,
-              const EnvironmentProfile& env);
 
 /// Per-sample probability that the hardware tone detector fires while a tone
 /// with the given SNR is present. Logistic in SNR, saturating below 1 (the
 /// detector "sometimes fails to recognize the presence of a signal" even at
 /// close range, Section 3.5).
 double detection_probability(double snr_db_value);
-
-/// Distance at which the per-sample detection probability falls to `target`
-/// (bisection over [0.1 m, 200 m]). Used by range calibration benches.
-double range_for_detection_probability(double source_db, double mic_sensitivity_db,
-                                       const EnvironmentProfile& env, double target);
 
 }  // namespace resloc::acoustics

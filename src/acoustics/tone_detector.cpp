@@ -11,8 +11,7 @@ namespace {
 constexpr double kFaultyMicFalsePositiveRate = 0.15;
 }
 
-ToneDetectorModel::ToneDetectorModel(EnvironmentProfile env, double sample_rate_hz)
-    : env_(std::move(env)), sample_rate_hz_(sample_rate_hz) {}
+ToneDetectorModel::ToneDetectorModel(EnvironmentProfile env) : env_(std::move(env)) {}
 
 void sample_bracket(double window_start_s, double dt, std::size_t num_samples, double start_s,
                     double end_s, std::size_t& lo, std::size_t& hi) {
@@ -47,7 +46,7 @@ void ToneDetectorModel::threshold_runs(const ReceivedWindow& window, std::size_t
   runs.clear();
   spans.clear();
   if (num_samples == 0) return;
-  const double dt = sample_period_s();
+  const double dt = 1.0 / kSampleRateHz;
 
   // Off-tone probabilities are per-window constants; a faulty mic's floor is
   // folded in before thresholding (threshold-of-max == max-of-thresholds,

@@ -61,9 +61,8 @@ SampleSpan interval_sample_span(double window_start_s, double sample_period_s,
 /// firing probabilities.
 class ToneDetectorModel {
  public:
-  /// `sample_rate_hz` is the rate at which the microcontroller polls the
-  /// detector.
-  ToneDetectorModel(EnvironmentProfile env, double sample_rate_hz = kSampleRateHz);
+  /// The microcontroller polls the detector at kSampleRateHz.
+  explicit ToneDetectorModel(EnvironmentProfile env);
 
   /// The deterministic half of the detector: the window's per-sample 53-bit
   /// Bernoulli thresholds as sorted runs in scratch.runs (first run at
@@ -81,12 +80,8 @@ class ToneDetectorModel {
   void threshold_runs(const ReceivedWindow& window, std::size_t num_samples,
                       const MicUnit& mic, DetectorScratch& scratch) const;
 
-  double sample_rate_hz() const { return sample_rate_hz_; }
-  double sample_period_s() const { return 1.0 / sample_rate_hz_; }
-
  private:
   EnvironmentProfile env_;
-  double sample_rate_hz_;
 };
 
 }  // namespace resloc::acoustics

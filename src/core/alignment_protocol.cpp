@@ -1,5 +1,6 @@
 #include "core/alignment_protocol.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -11,12 +12,16 @@ using resloc::math::Transform2D;
 using resloc::math::Vec2;
 using resloc::net::Message;
 using resloc::net::Network;
-using resloc::net::Reception;
 
 namespace {
 
 constexpr int kMapMessage = 1;
 constexpr int kAlignMessage = 2;
+
+/// Local-map broadcasts are staggered this far apart by node id.
+constexpr double kMapStaggerS = 0.01;
+/// Earliest start of the alignment flood.
+constexpr double kMinFloodStartS = 5.0;
 
 /// Shared state the per-node apps report into (the "experiment observer").
 struct ProtocolState {
@@ -61,7 +66,8 @@ class AlignmentApp : public resloc::net::NodeApp {
   void on_start(Network& net, resloc::net::NodeId self) override {
     // Phase A: stagger local-map broadcasts so the shared medium is not
     // saturated at t=0 (real motes would CSMA; staggering is deterministic).
-    net.schedule_local(self, 0.01 * (static_cast<double>(self) + 1.0), [this, &net, self]() {
+    const double map_at = kMapStaggerS * (static_cast<double>(self) + 1.0);
+    net.events().schedule_after(map_at, [this, &net, self]() {
       Message msg;
       msg.kind = kMapMessage;
       msg.payload = encode_map(own_map_);
@@ -71,8 +77,12 @@ class AlignmentApp : public resloc::net::NodeApp {
 
     if (is_root_) {
       // Phase B: after the map exchange settles, the root initiates the
-      // alignment flood with its own frame as the global frame.
-      net.schedule_local(self, 5.0, [this, &net, self]() {
+      // alignment flood with its own frame as the global frame. It starts
+      // one stagger step after the last map broadcast (5 s below 500 nodes),
+      // so every map is delivered before any alignment message arrives.
+      const double flood_at = std::max(
+          kMinFloodStartS, kMapStaggerS * (static_cast<double>(net.node_count()) + 1.0));
+      net.events().schedule_after(flood_at, [this, &net, self]() {
         aligned_ = true;
         const auto own = own_map_.coord_of(static_cast<NodeId>(self));
         if (own) state_.computed[self] = *own;
@@ -81,8 +91,7 @@ class AlignmentApp : public resloc::net::NodeApp {
     }
   }
 
-  void on_message(Network& net, resloc::net::NodeId self, const Reception& reception) override {
-    const Message& msg = reception.message;
+  void on_message(Network& net, resloc::net::NodeId self, const Message& msg) override {
     if (msg.kind == kMapMessage) {
       handle_map(static_cast<NodeId>(msg.sender), msg.payload);
     } else if (msg.kind == kAlignMessage && !aligned_) {

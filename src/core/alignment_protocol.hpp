@@ -9,8 +9,10 @@
 // the transformed vectors -- one round of flooding for the whole network.
 //
 // This implementation exchanges the actual map/alignment messages over the
-// discrete-event radio with drifting clocks, and is checked against the
-// graph-driven implementation in distributed_lss.hpp.
+// discrete-event radio, and is checked against the graph-driven
+// implementation in distributed_lss.hpp. The root starts the flood after the
+// last staggered map broadcast (at 5 s, or 10 ms per node past 500 nodes),
+// so every node holds its neighbours' maps when the flood reaches it.
 #pragma once
 
 #include <optional>

@@ -219,12 +219,6 @@ LssResult run(const MeasurementSet& measurements, std::vector<double> initial,
 
 }  // namespace
 
-double lss_stress(const MeasurementSet& measurements, const std::vector<Vec2>& positions,
-                  const LssOptions& options) {
-  std::vector<double> grad;
-  return lss_stress_with_gradient(measurements, positions, options, grad);
-}
-
 double lss_stress_with_gradient(const MeasurementSet& measurements,
                                 const std::vector<Vec2>& positions, const LssOptions& options,
                                 std::vector<double>& grad) {

@@ -80,11 +80,7 @@ struct LssResult {
 };
 
 /// Evaluates the LSS stress function (with the soft constraint when enabled)
-/// at the given configuration. Exposed for tests and benches (Figure 23).
-double lss_stress(const MeasurementSet& measurements, const std::vector<resloc::math::Vec2>& positions,
-                  const LssOptions& options);
-
-/// Evaluates stress AND its gradient at the given configuration. `grad` is
+/// AND its gradient at the given configuration. `grad` is
 /// resized to 2n and laid out like the solver's parameter vector:
 /// [dE/dx_0 .. dE/dx_{n-1}, dE/dy_0 .. dE/dy_{n-1}]. Exposed for the
 /// finite-difference gradient checks, the equivalence tests against the dense

@@ -43,12 +43,22 @@ Vec2 initial_guess(const std::vector<AnchorObservation>& anchors) {
   return (centroid + nearest->position) / 2.0;
 }
 
+/// The least-squares fit itself, on however many observations are given.
+Vec2 fit_position(const std::vector<AnchorObservation>& anchors,
+                  const MultilaterationOptions& options, resloc::math::Rng& rng) {
+  const auto objective = make_objective(anchors);
+  const Vec2 guess = initial_guess(anchors);
+  const auto result = resloc::math::minimize_with_restarts(
+      objective, {guess.x, guess.y}, options.gd, options.restarts, rng);
+  return Vec2{result.x[0], result.x[1]};
+}
+
 }  // namespace
 
 std::optional<Vec2> multilaterate(const std::vector<AnchorObservation>& anchors,
                                   const MultilaterationOptions& options,
                                   resloc::math::Rng& rng) {
-  if (anchors.size() < options.min_anchors) return std::nullopt;
+  if (anchors.size() < kMinAnchors) return std::nullopt;
 
   const std::vector<AnchorObservation>* used = &anchors;
   std::vector<AnchorObservation> filtered;
@@ -56,15 +66,10 @@ std::optional<Vec2> multilaterate(const std::vector<AnchorObservation>& anchors,
     const IntersectionCheckResult check = check_intersection_consistency(anchors);
     filtered.reserve(check.consistent_anchors.size());
     for (std::size_t idx : check.consistent_anchors) filtered.push_back(anchors[idx]);
-    if (filtered.size() < options.min_anchors) return std::nullopt;
+    if (filtered.size() < kMinAnchors) return std::nullopt;
     used = &filtered;
   }
-
-  const auto objective = make_objective(*used);
-  const Vec2 guess = initial_guess(*used);
-  const auto result = resloc::math::minimize_with_restarts(
-      objective, {guess.x, guess.y}, options.gd, options.restarts, rng);
-  return Vec2{result.x[0], result.x[1]};
+  return fit_position(*used, options, rng);
 }
 
 LocalizationResult localize_by_multilateration(const Deployment& deployment,
@@ -132,20 +137,15 @@ LocalizationResult localize_by_multilateration(const Deployment& deployment,
   // remain unplaced but see at least kDegradedMinAnchors usable anchors
   // get an under-constrained fix, flagged kDegraded. Runs last so a node that
   // could have been fully localized in a later progressive round is never
-  // demoted; degraded fixes never join the anchor pool.
+  // demoted. Degraded fixes skip the intersection check and never join the
+  // anchor pool.
   if (options.allow_degraded) {
-    MultilaterationOptions degraded = options;
-    degraded.min_anchors = kDegradedMinAnchors;
-    degraded.use_intersection_check = false;
     for (NodeId node = 0; node < n; ++node) {
       if (result.positions[node].has_value()) continue;
       const auto observations = collect_observations(node);
       if (observations.size() < kDegradedMinAnchors) continue;
-      const auto fit = multilaterate(observations, degraded, rng);
-      if (fit) {
-        result.positions[node] = *fit;
-        result.status[node] = LocalizationStatus::kDegraded;
-      }
+      result.positions[node] = fit_position(observations, options, rng);
+      result.status[node] = LocalizationStatus::kDegraded;
     }
   }
   return result;

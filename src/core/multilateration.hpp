@@ -18,6 +18,10 @@
 
 namespace resloc::core {
 
+/// Anchors with measurements a node needs before it is localized at all
+/// (the planar lower bound).
+inline constexpr std::size_t kMinAnchors = 3;
+
 /// Usable anchors a degraded fix needs (see allow_degraded).
 inline constexpr std::size_t kDegradedMinAnchors = 2;
 
@@ -29,14 +33,10 @@ inline constexpr int kMaxProgressiveRounds = 10;
 
 /// Multilateration configuration.
 struct MultilaterationOptions {
-  /// Minimum anchors with measurements before a node is localized at all
-  /// (default 3, the planar lower bound).
-  std::size_t min_anchors = 3;
-
   /// Run the intersection consistency check before minimizing.
   bool use_intersection_check = false;
 
-  /// Degrade instead of giving up: a node with fewer than `min_anchors` but
+  /// Degrade instead of giving up: a node with fewer than kMinAnchors but
   /// at least kDegradedMinAnchors usable anchors still receives a fix,
   /// flagged LocalizationStatus::kDegraded in the result (the solve is
   /// under-constrained -- with two anchors the position is one of two mirror
@@ -60,7 +60,8 @@ struct MultilaterationOptions {
 };
 
 /// Least-squares position fit against a fixed set of anchor observations.
-/// Returns nullopt when fewer than `min_anchors` observations are given.
+/// Returns nullopt when fewer than kMinAnchors observations are given (or
+/// survive the intersection check).
 std::optional<resloc::math::Vec2> multilaterate(const std::vector<AnchorObservation>& anchors,
                                                 const MultilaterationOptions& options,
                                                 resloc::math::Rng& rng);

@@ -72,12 +72,6 @@ double MeasurementSet::average_degree() const {
   return 2.0 * static_cast<double>(edges_.size()) / static_cast<double>(node_count_);
 }
 
-LocalizationStatus LocalizationResult::status_of(NodeId id) const {
-  if (id < status.size()) return status[id];
-  const bool placed = id < positions.size() && positions[id].has_value();
-  return placed ? LocalizationStatus::kOk : LocalizationStatus::kUnlocalized;
-}
-
 std::size_t LocalizationResult::localized_count() const {
   std::size_t n = 0;
   for (const auto& p : positions) {

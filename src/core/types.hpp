@@ -107,14 +107,9 @@ enum class LocalizationStatus : std::uint8_t {
 /// nullopt where the algorithm could not localize the node.
 struct LocalizationResult {
   std::vector<std::optional<resloc::math::Vec2>> positions;
-  /// Per-node status, aligned with `positions`. Solvers that predate the
-  /// status contract may leave it empty; status_of() then derives kOk /
-  /// kUnlocalized from the position alone.
+  /// Per-node status, aligned with `positions`. Multilateration fills its
+  /// own; the LSS solvers leave it empty and LocalizationPipeline derives it.
   std::vector<LocalizationStatus> status;
-
-  /// The node's status, derived from `positions` when `status` is empty or
-  /// short (a placed node is kOk, an unplaced one kUnlocalized).
-  LocalizationStatus status_of(NodeId id) const;
 
   std::size_t localized_count() const;
   /// Nodes placed with a degraded-confidence fix.

@@ -64,10 +64,6 @@ std::string format_value(double value) {
   return buf;
 }
 
-CellAggregate aggregate_trials(const std::vector<TrialOutcome>& trials) {
-  return aggregate_trials(trials.data(), trials.data() + trials.size());
-}
-
 CellAggregate aggregate_trials(const TrialOutcome* begin, const TrialOutcome* end) {
   CellAggregate agg;
   agg.trials = static_cast<std::size_t>(end - begin);

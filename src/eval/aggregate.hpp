@@ -119,7 +119,6 @@ struct CellResult {
 /// lets callers aggregate a contiguous slice (e.g. one cell of a cell-major
 /// campaign) without copying.
 CellAggregate aggregate_trials(const TrialOutcome* begin, const TrialOutcome* end);
-CellAggregate aggregate_trials(const std::vector<TrialOutcome>& trials);
 
 /// Deterministic double formatting shared by the emitters (%.12g; NaN -> "nan").
 std::string format_value(double value);

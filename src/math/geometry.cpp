@@ -97,22 +97,4 @@ Vec2 centroid(const std::vector<Vec2>& points) {
   return sum / static_cast<double>(points.size());
 }
 
-double point_line_distance(Vec2 p, Vec2 a, Vec2 b) {
-  const Vec2 ab = b - a;
-  const double len = ab.norm();
-  if (len == 0.0) return distance(p, a);
-  return std::abs(ab.cross(p - a)) / len;
-}
-
-double collinearity_height(Vec2 a, Vec2 b, Vec2 c) {
-  const double area2 = std::abs((b - a).cross(c - a));  // twice the triangle area
-  const double ab = distance(a, b);
-  const double bc = distance(b, c);
-  const double ca = distance(c, a);
-  const double longest = std::max({ab, bc, ca});
-  if (longest == 0.0) return 0.0;
-  // Each height = 2*area / base; the smallest height uses the longest base.
-  return area2 / longest;
-}
-
 }  // namespace resloc::math

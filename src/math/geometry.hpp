@@ -44,13 +44,4 @@ std::vector<std::size_t> largest_cluster(const std::vector<Vec2>& points, double
 /// Centroid of a point set. Zero vector for an empty set.
 Vec2 centroid(const std::vector<Vec2>& points);
 
-/// Perpendicular distance from point `p` to the infinite line through a, b.
-/// Returns distance(p, a) when a == b.
-double point_line_distance(Vec2 p, Vec2 a, Vec2 b);
-
-/// Measures how close three points are to collinear: the smallest of the
-/// three triangle heights. Near-zero means nearly collinear. Used to reason
-/// about the ill-conditioned anchor geometries of Figure 11.
-double collinearity_height(Vec2 a, Vec2 b, Vec2 c);
-
 }  // namespace resloc::math

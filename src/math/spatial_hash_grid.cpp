@@ -31,14 +31,12 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
   }
   count_ = n;
   entries_.resize(n);
-  cell_of_.resize(n);
   const double inv_cell = 1.0 / cell_size;
   std::uint64_t min_row = ~std::uint64_t{0};
   std::uint64_t max_row = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t row = biased_coord(ys[i], inv_cell);
     const std::uint64_t col = biased_coord(xs[i], inv_cell);
-    cell_of_[i] = (row << kCoordBits) | col;
     entries_[i] = (row << (2 * kCoordBits)) | (col << kCoordBits) | i;
     min_row = std::min(min_row, row);
     max_row = std::max(max_row, row);
@@ -90,14 +88,6 @@ void SpatialHashGrid::rebuild(const double* xs, const double* ys, std::size_t n,
     }
     begin = end;
   }
-}
-
-std::size_t SpatialHashGrid::row_span_begin(std::int64_t r, std::int64_t col_from) const {
-  const std::int64_t col = std::max<std::int64_t>(col_from, 0);
-  const std::uint64_t probe = (static_cast<std::uint64_t>(r) << (2 * kCoordBits)) |
-                              (static_cast<std::uint64_t>(col) << kCoordBits);
-  return static_cast<std::size_t>(
-      std::lower_bound(entries_.begin(), entries_.end(), probe) - entries_.begin());
 }
 
 }  // namespace resloc::math

@@ -31,15 +31,6 @@ Transform2D Transform2D::inverse() const {
 
 double Transform2D::theta() const { return std::atan2(sin_, cos_); }
 
-double Transform2D::max_param_diff(const Transform2D& o) const {
-  double d = std::abs(cos_ - o.cos_);
-  d = std::max(d, std::abs(sin_ - o.sin_));
-  d = std::max(d, std::abs(f_ - o.f_));
-  d = std::max(d, std::abs(t_.x - o.t_.x));
-  d = std::max(d, std::abs(t_.y - o.t_.y));
-  return d;
-}
-
 std::ostream& operator<<(std::ostream& os, const Transform2D& t) {
   return os << "Transform2D{theta=" << t.theta() << ", f=" << (t.reflected() ? -1 : 1)
             << ", t=" << t.translation_part() << '}';

@@ -56,9 +56,6 @@ class Transform2D {
   bool reflected() const { return f_ < 0.0; }
   Vec2 translation_part() const { return t_; }
 
-  /// Maximum absolute difference in the 6 defining parameters.
-  double max_param_diff(const Transform2D& o) const;
-
  private:
   Transform2D(double c, double s, double f, Vec2 t) : cos_(c), sin_(s), f_(f), t_(t) {}
 

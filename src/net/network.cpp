@@ -32,11 +32,7 @@ bool Network::in_loss_burst() {
 
 NodeId Network::add_node(resloc::math::Vec2 position, std::unique_ptr<NodeApp> app) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  NodeState state;
-  state.position = position;
-  state.clock = Clock::random(rng_);
-  state.app = std::move(app);
-  nodes_.push_back(std::move(state));
+  nodes_.push_back(NodeState{position, std::move(app)});
   return id;
 }
 
@@ -54,10 +50,6 @@ void Network::broadcast(NodeId sender, Message message) {
     return;
   }
   message.sender = sender;
-  // The MAC layer stamps the message with the sender's local clock at the
-  // true start of transmission (now): this is the FTSP trick that removes
-  // most of the send-side nondeterminism.
-  message.mac_timestamp = nodes_[sender].clock.local_time(events_.now());
 
   const auto sender_pos = nodes_[sender].position;
   for (NodeId receiver = 0; receiver < nodes_.size(); ++receiver) {
@@ -68,21 +60,11 @@ void Network::broadcast(NodeId sender, Message message) {
 
     const double jitter = std::abs(rng_.gaussian(0.0, kJitterStddevS));
     const double delay = kBaseLatencyS + jitter;
-    events_.schedule_after(delay, [this, receiver, message, d]() {
-      Reception reception;
-      reception.message = message;
-      reception.local_receive_time = nodes_[receiver].clock.local_time(events_.now());
-      reception.rssi_distance_hint = d;
+    events_.schedule_after(delay, [this, receiver, message]() {
       ++deliveries_;
-      nodes_[receiver].app->on_message(*this, receiver, reception);
+      nodes_[receiver].app->on_message(*this, receiver, message);
     });
   }
-}
-
-void Network::schedule_local(NodeId node, double delay_s, std::function<void()> fn) {
-  (void)node;  // local-time delays differ from true delays only by drift,
-               // which is negligible for protocol timers; kept for intent.
-  events_.schedule_after(delay_s, std::move(fn));
 }
 
 }  // namespace resloc::net

@@ -1,18 +1,16 @@
-// Network container: nodes with positions and clocks, plus broadcast
-// delivery over the shared event queue.
+// Network container: nodes with positions, plus broadcast delivery over the
+// shared event queue.
 //
 // Applications subclass NodeApp and receive messages via on_message(); the
 // flooding alignment step of the distributed LSS algorithm (Section 4.3.1,
 // "Alignment") runs on this substrate.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "math/rng.hpp"
 #include "math/vec2.hpp"
-#include "net/clock.hpp"
 #include "net/event_queue.hpp"
 #include "net/radio.hpp"
 
@@ -29,7 +27,7 @@ class NodeApp {
   virtual void on_start(Network& /*net*/, NodeId /*self*/) {}
 
   /// Called for every delivered message.
-  virtual void on_message(Network& net, NodeId self, const Reception& reception) = 0;
+  virtual void on_message(Network& net, NodeId self, const Message& message) = 0;
 };
 
 /// The simulated network.
@@ -37,27 +35,22 @@ class Network {
  public:
   Network(RadioParams radio, resloc::math::Rng rng);
 
-  /// Adds a node at `position` with a random clock; returns its id.
+  /// Adds a node at `position`; returns its id.
   NodeId add_node(resloc::math::Vec2 position, std::unique_ptr<NodeApp> app);
 
   /// Starts all node apps (calls on_start in id order).
   void start();
 
   /// Broadcasts from `sender`; delivery to every in-range node follows the
-  /// radio timing model. The MAC timestamp is stamped with the sender's
-  /// local clock at the true transmission instant.
+  /// radio timing model.
   void broadcast(NodeId sender, Message message);
 
-  /// Schedules an app callback at a local-time delay for a node.
-  void schedule_local(NodeId node, double delay_s, std::function<void()> fn);
-
-  /// Runs the simulation until quiescent or `until`.
-  std::size_t run(SimTime until = 1e18) { return events_.run(until); }
+  /// Runs the simulation until no event is pending.
+  void run() { events_.run(); }
 
   std::size_t node_count() const { return nodes_.size(); }
-  resloc::math::Vec2 position(NodeId id) const { return nodes_[id].position; }
-  const Clock& clock(NodeId id) const { return nodes_[id].clock; }
-  SimTime now() const { return events_.now(); }
+
+  /// Event queue for app timers (events().schedule_after).
   EventQueue& events() { return events_; }
 
   /// Total messages delivered (for protocol-cost accounting; the paper notes
@@ -71,7 +64,6 @@ class Network {
  private:
   struct NodeState {
     resloc::math::Vec2 position;
-    Clock clock;
     std::unique_ptr<NodeApp> app;
   };
 

@@ -1,4 +1,4 @@
-// Broadcast radio with MAC-layer timestamping.
+// Broadcast radio.
 //
 // Section 3.1: the arrival of a radio message is delayed by non-deterministic
 // sender- and receiver-side processing (delta_xmit); FTSP-style MAC-layer
@@ -6,17 +6,13 @@
 // We model a message as reaching each in-range receiver after
 //   base_latency + |jitter|,
 // where jitter is the residual nondeterminism after MAC timestamping. The
-// receiver is handed both the true reception instant (converted to its local
-// clock by the Network) and the sender's MAC timestamp, from which protocols
-// compute clock correspondences exactly as on real motes.
+// clock synchronization the ranging service builds on that timestamp is
+// modeled in ranging itself (TdoaParams::sync_jitter_s); protocols on this
+// radio only exchange payloads.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "math/rng.hpp"
-#include "math/vec2.hpp"
-#include "net/event_queue.hpp"
 
 namespace resloc::net {
 
@@ -27,16 +23,6 @@ struct Message {
   NodeId sender = 0;
   int kind = 0;
   std::vector<double> payload;
-  /// Sender's local time at the actual start of transmission (MAC timestamp,
-  /// filled by the Network at send time).
-  double mac_timestamp = 0.0;
-};
-
-/// Delivery metadata handed to the receiving node.
-struct Reception {
-  Message message;
-  double local_receive_time = 0.0;  ///< receiver's local clock at reception
-  double rssi_distance_hint = 0.0;  ///< true sender-receiver distance (physics, not visible to protocols that shouldn't use it)
 };
 
 /// Deterministic part of delta_xmit (encoding + propagation + decoding).

@@ -52,15 +52,16 @@ Deployment random_uniform(std::size_t count, double width_m, double height_m,
 }
 
 Deployment town_blocks_59() {
-  // Streets of a 3 x 2 grid of ~19 m city blocks; nodes sit along street
+  // Streets of a 4 x 3 grid of 19 m city blocks; nodes sit along street
   // edges roughly every 9.5 m with small deterministic jitter, honoring the
   // >= 9 m minimum node spacing the paper's soft constraint assumes
   // ("we penalized pairs of nodes with unknown distance when they were
   // assigned coordinates which made them closer than 9 m"). The layout spans
-  // about 57 x 38 m. With the 22 m ranging cutoff this yields ~480 measured
+  // 76 x 57 m. With the 22 m ranging cutoff this yields 396 measured
   // pairs -- sparser than the paper's quoted 945, which cannot coexist with a
   // 9 m minimum spacing for 59 nodes; the 9 m guarantee is the constraint
-  // the experiment depends on, so it wins (see DESIGN.md).
+  // the experiment depends on, so it wins (BENCH_paper.json's Fig 20-22
+  // pair-count row records the gap).
   Deployment d;
   resloc::math::Rng rng(0x70776e5f626c6bULL);  // fixed: the layout is part of the scenario
 

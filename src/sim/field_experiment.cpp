@@ -166,39 +166,36 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
   const std::size_t threads = std::min<std::size_t>(
       config.threads > 1 ? static_cast<std::size_t>(config.threads) : 1,
       std::max<std::size_t>(num_turns, 1));
-  if (threads <= 1) {
-    // One scratch serves every pair: the per-sequence buffers are sized by
-    // the service's window and reused across the whole campaign. The channel
-    // cache lives next to it and dies with the trial (its invalidation
-    // point -- trials may perturb the environment).
+  // Each worker owns one scratch, reused across all its turns (the
+  // per-sequence buffers are sized by the service's window), and a channel
+  // cache that dies with the trial (its invalidation point -- trials may
+  // perturb the environment). One worker runs inline.
+  std::atomic<std::size_t> cursor{0};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto worker = [&]() {
     resloc::ranging::RangingScratch scratch;
     ChannelResponseCache channel_cache(config.ranging.environment);
-    for (std::size_t turn = 0; turn < num_turns; ++turn)
-      run_turn(turn, scratch, channel_cache);
-  } else {
-    std::atomic<std::size_t> cursor{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    const auto worker = [&]() {
-      resloc::ranging::RangingScratch scratch;
-      ChannelResponseCache channel_cache(config.ranging.environment);
-      try {
-        for (;;) {
-          const std::size_t turn = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (turn >= num_turns) return;
-          run_turn(turn, scratch, channel_cache);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+    try {
+      for (;;) {
+        const std::size_t turn = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (turn >= num_turns) return;
+        run_turn(turn, scratch, channel_cache);
       }
-    };
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  if (threads <= 1) {
+    worker();
+  } else {
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
   }
+  if (first_error) std::rethrow_exception(first_error);
 
   // Sequential aggregation in turn order: identical to the historical
   // round -> source -> ascending-receiver insertion order.
@@ -211,8 +208,7 @@ FieldExperimentData run_field_experiment(const resloc::core::Deployment& deploym
 
   {
     RESLOC_SPAN("ranging/filtering");
-    data.filtered =
-        data.raw.symmetric_estimates(config.filter, config.bidirectional_tolerance_m);
+    data.filtered = data.raw.symmetric_estimates(config.filter, kBidirectionalToleranceM);
   }
   obs::add(obs::Counter::kFilteredPairs, data.filtered.size());
   return data;

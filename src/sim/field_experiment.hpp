@@ -44,6 +44,10 @@ namespace resloc::sim {
 /// identical value every time the link is used.
 inline constexpr double kLinkShadowingStddevDb = 5.0;
 
+/// Bidirectional agreement tolerance of the Section 3.5 consistency check:
+/// a pair whose two filtered directions differ by more is discarded.
+inline constexpr double kBidirectionalToleranceM = 1.0;
+
 /// Campaign configuration. Every node's speaker is drawn around
 /// acoustics::kLoudspeakerDb.
 struct FieldExperimentConfig {
@@ -53,8 +57,6 @@ struct FieldExperimentConfig {
   int rounds = 3;
   /// Statistical filter applied per directed pair before symmetrization.
   resloc::ranging::FilterPolicy filter;
-  /// Bidirectional agreement tolerance (Section 3.5 consistency check).
-  double bidirectional_tolerance_m = 1.0;
   /// Pairs farther apart than this are not simulated at all (outside any
   /// plausible acoustic or radio range; keeps the campaign tractable).
   double simulate_within_m = 45.0;

@@ -26,16 +26,6 @@ resloc::math::GridPairEnumerator in_range_pairs(const Deployment& deployment,
 
 }  // namespace
 
-MeasurementSet perfect_measurements(const Deployment& deployment, double max_range_m) {
-  const auto pairs = in_range_pairs(deployment, max_range_m);
-  MeasurementSet set(deployment.size());
-  set.reserve(pairs.pair_count());
-  pairs.for_each_pair([&](std::size_t i, std::size_t j, double d) {
-    set.add(static_cast<NodeId>(i), static_cast<NodeId>(j), d);
-  });
-  return set;
-}
-
 MeasurementSet gaussian_measurements(const Deployment& deployment,
                                      const GaussianNoiseModel& noise, resloc::math::Rng& rng) {
   const auto pairs = in_range_pairs(deployment, noise.max_range_m);
@@ -86,17 +76,6 @@ MeasurementSet subsample_edges(const MeasurementSet& measurements, std::size_t c
   if (edges.size() > count) edges.resize(count);
   for (const auto& e : edges) out.add(e.i, e.j, e.distance_m, e.weight);
   return out;
-}
-
-void inject_outliers(MeasurementSet& measurements, double fraction, double magnitude_sigma_m,
-                     resloc::math::Rng& rng) {
-  const auto edges = measurements.edges();  // copy: add() mutates storage
-  for (const auto& e : edges) {
-    if (!rng.bernoulli(fraction)) continue;
-    const double corrupted =
-        std::max(0.3, e.distance_m + rng.gaussian(0.0, magnitude_sigma_m));
-    measurements.add(e.i, e.j, corrupted, e.weight);
-  }
 }
 
 }  // namespace resloc::sim

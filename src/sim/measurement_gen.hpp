@@ -25,10 +25,6 @@ struct GaussianNoiseModel {
   double max_range_m = 22.0;
 };
 
-/// Exact distances for every pair within range (noise-free reference).
-resloc::core::MeasurementSet perfect_measurements(const resloc::core::Deployment& deployment,
-                                                  double max_range_m);
-
 /// Gaussian-perturbed distances for every pair within range.
 resloc::core::MeasurementSet gaussian_measurements(const resloc::core::Deployment& deployment,
                                                    const GaussianNoiseModel& noise,
@@ -47,11 +43,5 @@ std::size_t augment_with_gaussian(resloc::core::MeasurementSet& measurements,
 /// models sparser campaigns than the full in-range set.
 resloc::core::MeasurementSet subsample_edges(const resloc::core::MeasurementSet& measurements,
                                              std::size_t count, resloc::math::Rng& rng);
-
-/// Corrupts a random `fraction` of edges with large-magnitude errors:
-/// each victim's distance is shifted by a draw from N(0, magnitude_sigma_m),
-/// clamped below at 0.3 m. Models the faulty-hardware / echo outliers.
-void inject_outliers(resloc::core::MeasurementSet& measurements, double fraction,
-                     double magnitude_sigma_m, resloc::math::Rng& rng);
 
 }  // namespace resloc::sim

@@ -47,7 +47,6 @@ FieldExperimentConfig grass_campaign_config(int rounds) {
   config.ranging = grass_refined_ranging();
   config.rounds = rounds;
   config.filter.kind = resloc::ranging::FilterKind::kAuto;
-  config.bidirectional_tolerance_m = 1.0;
   config.simulate_within_m = 30.0;
   return config;
 }
@@ -57,7 +56,6 @@ FieldExperimentConfig urban_baseline_campaign_config(int rounds) {
   config.ranging = urban_baseline_ranging();
   config.rounds = rounds;
   config.filter.kind = resloc::ranging::FilterKind::kMedian;
-  config.bidirectional_tolerance_m = 1.0;
   config.simulate_within_m = 38.0;
   return config;
 }

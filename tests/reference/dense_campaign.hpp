@@ -126,7 +126,7 @@ inline sim::FieldExperimentData run_field_experiment(const core::Deployment& dep
     }
   }
 
-  data.filtered = data.raw.symmetric_estimates(config.filter, config.bidirectional_tolerance_m);
+  data.filtered = data.raw.symmetric_estimates(config.filter, sim::kBidirectionalToleranceM);
   return data;
 }
 

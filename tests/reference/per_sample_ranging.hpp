@@ -160,10 +160,10 @@ struct PerSampleScratch {
 /// The hardware tone detector over one window: rasterize intervals, then one
 /// rng.bernoulli(p) per sample into scratch.fired.
 inline void sample_detector_window(const acoustics::EnvironmentProfile& env,
-                                   double sample_rate_hz, const acoustics::ReceivedWindow& window,
-                                   std::size_t n, const acoustics::MicUnit& mic, math::Rng& rng,
+                                   const acoustics::ReceivedWindow& window, std::size_t n,
+                                   const acoustics::MicUnit& mic, math::Rng& rng,
                                    PerSampleScratch& scratch) {
-  const double dt = 1.0 / sample_rate_hz;
+  const double dt = 1.0 / acoustics::kSampleRateHz;
   scratch.best_snr.assign(n, -1e9);
   scratch.tone.assign(n, 0);
   scratch.burst.assign(n, 0);
@@ -309,8 +309,7 @@ inline ranging::RangingAttempt measure(const ranging::RangingService& service,
                        config.channel_jitter, rng);
     switch (config.detector_mode) {
       case ranging::DetectorMode::kHardware:
-        sample_detector_window(config.environment, acoustics::kSampleRateHz,
-                               scratch.received, n, mic, rng, scratch);
+        sample_detector_window(config.environment, scratch.received, n, mic, rng, scratch);
         break;
       case ranging::DetectorMode::kGoertzel:
         goertzel_window(config, n, mic, rng, scratch);

@@ -36,6 +36,40 @@ std::size_t detector_hits(const ToneDetectorModel& detector, const ReceivedWindo
   return static_cast<std::size_t>(std::count(counters.begin(), counters.end(), 1));
 }
 
+/// SNR (dB) at `distance_m` from a source of `source_db`, composed from
+/// link_response the way receive_into composes it (mic sensitivity 0 dB).
+double link_snr_db(double source_db, double distance_m, const EnvironmentProfile& env) {
+  const LinkResponse link = link_response(distance_m, env);
+  return ((source_db - link.spreading_db) - link.excess_db) - env.noise_floor_db;
+}
+
+/// Distance at which the per-sample detection probability falls to `target`
+/// (bisection over [0.1 m, 200 m]; detection falls monotonically with range).
+double range_for_detection_probability(double source_db, const EnvironmentProfile& env,
+                                       double target) {
+  double lo = 0.1;
+  double hi = 200.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (detection_probability(link_snr_db(source_db, mid, env)) > target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+/// One chirp window at `distance_m` through the production channel.
+ReceivedWindow receive(const std::vector<Emission>& emissions, double window_start_s,
+                       double window_duration_s, double distance_m, const EnvironmentProfile& env,
+                       const ChannelJitter& jitter, Rng& rng) {
+  ReceivedWindow window;
+  receive_into(window, emissions, window_start_s, window_duration_s,
+               link_response(distance_m, env), SpeakerUnit{}, MicUnit{}, env, jitter, rng);
+  return window;
+}
+
 TEST(Environment, ProfilesAreDistinct) {
   const auto grass = EnvironmentProfile::grass();
   const auto pavement = EnvironmentProfile::pavement();
@@ -50,22 +84,24 @@ TEST(Environment, ProfilesAreDistinct) {
   EXPECT_GT(urban.echo_rate, pavement.echo_rate);
 }
 
-TEST(Propagation, ReceivedLevelDecreasesWithDistance) {
+TEST(Propagation, AttenuationGrowsWithDistance) {
   const auto env = EnvironmentProfile::grass();
-  double prev = received_level_db(105.0, 0.5, env);
+  double prev = link_snr_db(105.0, 0.5, env);
   for (double d = 1.0; d <= 40.0; d += 1.0) {
-    const double level = received_level_db(105.0, d, env);
-    EXPECT_LT(level, prev);
-    prev = level;
+    const double snr = link_snr_db(105.0, d, env);
+    EXPECT_LT(snr, prev);
+    prev = snr;
   }
 }
 
 TEST(Propagation, SphericalSpreadingSixDbPerDoubling) {
   EnvironmentProfile vacuum;
   vacuum.excess_attenuation_db_per_m = 0.0;
-  const double l1 = received_level_db(100.0, 5.0, vacuum);
-  const double l2 = received_level_db(100.0, 10.0, vacuum);
-  EXPECT_NEAR(l1 - l2, 20.0 * std::log10(2.0), 1e-9);
+  const LinkResponse l1 = link_response(5.0, vacuum);
+  const LinkResponse l2 = link_response(10.0, vacuum);
+  EXPECT_DOUBLE_EQ(l1.excess_db, 0.0);
+  EXPECT_NEAR(l2.spreading_db - l1.spreading_db, 20.0 * std::log10(2.0), 1e-9);
+  EXPECT_NEAR(l1.spreading_db, 20.0 * std::log10(50.0), 1e-9);  // from the 10 cm reference
 }
 
 TEST(Propagation, DetectionProbabilityMonotoneInSnr) {
@@ -87,17 +123,16 @@ TEST(Propagation, PaperRangeShapes) {
   const auto pavement = EnvironmentProfile::pavement();
 
   // Stock 88 dB buzzer dies within a few meters on grass...
-  const double stock_grass = range_for_detection_probability(kStockBuzzerDb, 0.0, grass, 0.3);
+  const double stock_grass = range_for_detection_probability(kStockBuzzerDb, grass, 0.3);
   EXPECT_LT(stock_grass, 8.0);
   // ...while the 105 dB loudspeaker reaches 2-4x farther.
-  const double loud_grass = range_for_detection_probability(kLoudspeakerDb, 0.0, grass, 0.3);
+  const double loud_grass = range_for_detection_probability(kLoudspeakerDb, grass, 0.3);
   EXPECT_GT(loud_grass, 2.0 * stock_grass);
   EXPECT_GT(loud_grass, 10.0);
   EXPECT_LT(loud_grass, 32.0);
 
   // Pavement carries much farther than grass.
-  const double loud_pavement =
-      range_for_detection_probability(kLoudspeakerDb, 0.0, pavement, 0.3);
+  const double loud_pavement = range_for_detection_probability(kLoudspeakerDb, pavement, 0.3);
   EXPECT_GT(loud_pavement, 1.5 * loud_grass);
 }
 
@@ -141,7 +176,8 @@ TEST(ChirpPattern, StartTimesRespectStructure) {
   ChirpPattern pattern;
   pattern.num_chirps = 10;
   Rng rng(3);
-  const auto starts = chirp_start_times(pattern, rng);
+  std::vector<double> starts;
+  chirp_start_times_into(pattern, rng, starts);
   ASSERT_EQ(starts.size(), 10u);
   EXPECT_DOUBLE_EQ(starts[0], 0.0);
   for (std::size_t i = 1; i < starts.size(); ++i) {
@@ -154,8 +190,10 @@ TEST(ChirpPattern, StartTimesRespectStructure) {
 TEST(ChirpPattern, RandomDelaysDecorrelate) {
   ChirpPattern pattern;
   Rng rng1(1), rng2(2);
-  const auto a = chirp_start_times(pattern, rng1);
-  const auto b = chirp_start_times(pattern, rng2);
+  std::vector<double> a;
+  std::vector<double> b;
+  chirp_start_times_into(pattern, rng1, a);
+  chirp_start_times_into(pattern, rng2, b);
   bool differs = false;
   for (std::size_t i = 1; i < a.size(); ++i) {
     if (std::abs(a[i] - b[i]) > 1e-9) differs = true;
@@ -171,8 +209,7 @@ TEST(Channel, DirectSignalArrivesAtTravelTime) {
   jitter.actuation_jitter_s = 0.0;
   Rng rng(5);
   const double d = 17.0;
-  const auto window = receive({{0.0, 0.008}}, 0.0, 0.2, d, SpeakerUnit{}, MicUnit{}, env,
-                              jitter, rng);
+  const auto window = receive({{0.0, 0.008}}, 0.0, 0.2, d, env, jitter, rng);
   // Ramp-up segment plus full-level segment.
   ASSERT_EQ(window.signals.size(), 2u);
   const double travel = d / kSpeedOfSoundMps;
@@ -188,8 +225,7 @@ TEST(Channel, SignalsOutsideWindowAreDropped) {
   env.noise_burst_rate_hz = 0.0;
   Rng rng(6);
   // Emission whose sound arrives after the window closes.
-  const auto window = receive({{10.0, 0.008}}, 0.0, 0.05, 5.0, SpeakerUnit{}, MicUnit{}, env,
-                              ChannelJitter{}, rng);
+  const auto window = receive({{10.0, 0.008}}, 0.0, 0.05, 5.0, env, ChannelJitter{}, rng);
   EXPECT_TRUE(window.signals.empty());
 }
 
@@ -198,8 +234,7 @@ TEST(Channel, UrbanProducesEchoes) {
   Rng rng(8);
   std::size_t echo_windows = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto window = receive({{0.0, 0.008}}, 0.0, 0.3, 10.0, SpeakerUnit{}, MicUnit{}, env,
-                                ChannelJitter{}, rng);
+    const auto window = receive({{0.0, 0.008}}, 0.0, 0.3, 10.0, env, ChannelJitter{}, rng);
     if (window.signals.size() > 1) ++echo_windows;
   }
   EXPECT_GT(echo_windows, 30u);  // echo_rate 0.9 -> most windows see an echo
@@ -210,13 +245,12 @@ TEST(Channel, EchoesAreWeakerAndLater) {
   env.noise_burst_rate_hz = 0.0;
   Rng rng(9);
   const double d = 10.0;
-  const double body_snr = snr_db(SpeakerUnit{}.effective_db(), d, 0.0, env);
+  const double body_snr = link_snr_db(SpeakerUnit{}.effective_db(), d, env);
   int echoes_seen = 0;
   for (int i = 0; i < 50; ++i) {
     ChannelJitter jitter;
     jitter.actuation_jitter_s = 0.0;
-    const auto window =
-        receive({{0.0, 0.008}}, 0.0, 0.5, d, SpeakerUnit{}, MicUnit{}, env, jitter, rng);
+    const auto window = receive({{0.0, 0.008}}, 0.0, 0.5, d, env, jitter, rng);
     // The strongest interval is the full-level direct body; anything clearly
     // below it is an echo and must start no earlier than the direct signal.
     const double direct_start = d / kSpeedOfSoundMps;
@@ -234,7 +268,7 @@ TEST(Channel, EchoesAreWeakerAndLater) {
 TEST(ToneDetector, StrongSignalDetectedOften) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.0;
-  const ToneDetectorModel detector(env, 16000.0);
+  const ToneDetectorModel detector(env);
   ReceivedWindow window;
   window.start_s = 0.0;
   window.duration_s = 0.01;
@@ -248,7 +282,7 @@ TEST(ToneDetector, NoSignalRespectsFalsePositiveRate) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.05;
   env.noise_burst_rate_hz = 0.0;
-  const ToneDetectorModel detector(env, 16000.0);
+  const ToneDetectorModel detector(env);
   ReceivedWindow window;
   window.duration_s = 1.0;
   Rng rng(11);
@@ -259,7 +293,7 @@ TEST(ToneDetector, NoSignalRespectsFalsePositiveRate) {
 TEST(ToneDetector, NoiseBurstElevatesFalsePositives) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.01;
-  const ToneDetectorModel detector(env, 16000.0);
+  const ToneDetectorModel detector(env);
   ReceivedWindow window;
   window.duration_s = 0.1;
   window.bursts.push_back({0.0, 0.1});
@@ -272,7 +306,7 @@ TEST(ToneDetector, FaultyMicIsNoisy) {
   auto env = EnvironmentProfile::grass();
   env.false_positive_rate = 0.005;
   env.noise_burst_rate_hz = 0.0;
-  const ToneDetectorModel detector(env, 16000.0);
+  const ToneDetectorModel detector(env);
   ReceivedWindow window;
   window.duration_s = 0.1;
   MicUnit faulty;

@@ -331,18 +331,4 @@ TEST(MeasurementGenScale, AugmentDrawsPerPairUnchangedByDistanceCache) {
   }
 }
 
-TEST(MeasurementGenScale, PerfectMeasurementsMatchLegacyDenseLoop) {
-  const Deployment deployment = small_field(60, 70.0);
-  const MeasurementSet fast = resloc::sim::perfect_measurements(deployment, 22.0);
-  MeasurementSet slow(deployment.size());
-  for (NodeId i = 0; i < deployment.size(); ++i) {
-    for (NodeId j = i + 1; j < deployment.size(); ++j) {
-      const double d = resloc::math::distance(deployment.positions[i], deployment.positions[j]);
-      if (d < 22.0) slow.add(i, j, d);
-    }
-  }
-  EXPECT_GT(fast.edge_count(), 0u);
-  expect_same_edges(fast, slow);
-}
-
 }  // namespace

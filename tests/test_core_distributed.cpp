@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/alignment_protocol.hpp"
@@ -20,6 +21,17 @@ using resloc::math::Transform2D;
 using resloc::math::Vec2;
 using resloc::reference::exact_transform;
 
+/// Largest absolute difference between the defining parameters (cos, sin,
+/// reflection sign, translation) of two rigid transforms.
+double max_param_diff(const Transform2D& a, const Transform2D& b) {
+  const double sign_a = a.reflected() ? -1.0 : 1.0;
+  const double sign_b = b.reflected() ? -1.0 : 1.0;
+  return std::max({std::abs(a.cos_theta() - b.cos_theta()),
+                   std::abs(a.sin_theta() - b.sin_theta()), std::abs(sign_a - sign_b),
+                   std::abs(a.translation_part().x - b.translation_part().x),
+                   std::abs(a.translation_part().y - b.translation_part().y)});
+}
+
 std::vector<Vec2> rigid_copy(const std::vector<Vec2>& src, const Transform2D& t) {
   std::vector<Vec2> out;
   out.reserve(src.size());
@@ -33,7 +45,7 @@ TEST(TransformEstimation, ClosedFormRecoversMotion) {
   const auto estimate = fit_rigid(src, rigid_copy(src, motion));
   ASSERT_TRUE(estimate.valid);
   EXPECT_NEAR(estimate.sum_squared_error, 0.0, 1e-12);
-  EXPECT_LT(estimate.transform.max_param_diff(motion), 1e-9);
+  EXPECT_LT(max_param_diff(estimate.transform, motion), 1e-9);
 }
 
 TEST(TransformEstimation, ExactRecoversMotion) {
@@ -61,7 +73,7 @@ TEST(TransformEstimation, MethodsAgreeOnNoisyData) {
   // Closed form is optimal for this objective; exact GD should come close.
   EXPECT_NEAR(exact.sum_squared_error, closed.sum_squared_error,
               0.1 * closed.sum_squared_error + 1e-6);
-  EXPECT_LT(exact.transform.max_param_diff(closed.transform), 0.05);
+  EXPECT_LT(max_param_diff(exact.transform, closed.transform), 0.05);
 }
 
 TEST(TransformEstimation, InvalidInputs) {
@@ -144,7 +156,7 @@ TEST(DistributedLss, RootFrameIsItsLocalFrame) {
   Rng rng(7);
   const auto result = localize_distributed(meas, 4, good_options(), rng);
   ASSERT_TRUE(result.to_root[4].has_value());
-  EXPECT_LT(result.to_root[4]->max_param_diff(Transform2D{}), 1e-12);
+  EXPECT_LT(max_param_diff(*result.to_root[4], Transform2D{}), 1e-12);
   ASSERT_TRUE(result.result.positions[4].has_value());
   EXPECT_NEAR(resloc::math::distance(*result.result.positions[4],
                                      *result.maps[4].coord_of(4)),
@@ -274,6 +286,40 @@ TEST(AlignmentProtocol, AccurateAgainstGroundTruth) {
                                                           d.positions, true);
   EXPECT_GE(report.localized, d.size() - 1);
   EXPECT_LT(report.average_error_m, 0.5);
+}
+
+TEST(AlignmentProtocol, PlacesEveryBfsNodeAtFifteenHundredNodes) {
+  // Map broadcasts are staggered 10 ms apart by node id, so at n = 1500 the
+  // last one leaves at 15 s. A flood started before that reaches nodes whose
+  // neighbours' maps have not arrived, and they are never placed. Maps here
+  // are the true neighbourhoods (22 m) in a random rigid frame per node, so
+  // every placement the BFS makes is one the flood can make.
+  const std::size_t n = 1500;
+  const double side = 12.0 * std::sqrt(static_cast<double>(n));
+  Rng rng(31);
+  const auto d = resloc::sim::random_uniform(n, side, side, 6.0, rng);
+  ASSERT_EQ(d.size(), n);
+  const auto meas = grid_measurements(d, 22.0);
+  std::vector<LocalMap> maps(n);
+  for (NodeId i = 0; i < n; ++i) {
+    const Transform2D frame(rng.uniform(-3.0, 3.0), rng.bernoulli(0.5),
+                            {rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)});
+    maps[i].owner = i;
+    maps[i].members.push_back(i);
+    for (const auto& [j, dist] : meas.neighbors(i)) maps[i].members.push_back(j);
+    for (const NodeId m : maps[i].members) maps[i].coords.push_back(frame.apply(d.positions[m]));
+  }
+  const DistributedLssOptions opt;
+  const auto bfs = align_local_maps(maps, 0, opt);
+  const auto proto =
+      run_alignment_protocol(maps, 0, d.positions, opt, resloc::net::RadioParams{}, 7);
+  EXPECT_GE(bfs.result.localized_count(), n - 5);
+  std::size_t differing = 0;
+  for (NodeId i = 0; i < n; ++i) {
+    differing += proto.result.positions[i].has_value() != bfs.result.positions[i].has_value();
+  }
+  EXPECT_EQ(differing, 0u) << "protocol placed " << proto.result.localized_count()
+                           << ", BFS " << bfs.result.localized_count();
 }
 
 }  // namespace

@@ -15,6 +15,13 @@ using namespace resloc::core;
 using resloc::math::Rng;
 using resloc::math::Vec2;
 
+/// The LSS stress at `positions` (lss_stress_with_gradient, gradient dropped).
+double stress_at(const MeasurementSet& meas, const std::vector<Vec2>& positions,
+                 const LssOptions& options) {
+  std::vector<double> grad;
+  return lss_stress_with_gradient(meas, positions, options, grad);
+}
+
 /// Small square with full noise-free measurements.
 MeasurementSet unit_square_measurements() {
   MeasurementSet set(4);
@@ -32,7 +39,7 @@ TEST(LssStress, ZeroAtExactConfiguration) {
   const std::vector<Vec2> exact{{0.0, 0.0}, {10.0, 0.0}, {10.0, 10.0}, {0.0, 10.0}};
   LssOptions opt;
   opt.min_spacing_m = 5.0;
-  EXPECT_NEAR(lss_stress(meas, exact, opt), 0.0, 1e-12);
+  EXPECT_NEAR(stress_at(meas, exact, opt), 0.0, 1e-12);
 }
 
 TEST(LssStress, RigidMotionInvariant) {
@@ -43,7 +50,7 @@ TEST(LssStress, RigidMotionInvariant) {
   for (const Vec2& p : exact) moved.push_back(motion.apply(p));
   LssOptions opt;
   opt.min_spacing_m = 5.0;
-  EXPECT_NEAR(lss_stress(meas, moved, opt), 0.0, 1e-9);
+  EXPECT_NEAR(stress_at(meas, moved, opt), 0.0, 1e-9);
 }
 
 TEST(LssStress, PenalizesWrongDistances) {
@@ -51,7 +58,7 @@ TEST(LssStress, PenalizesWrongDistances) {
   const std::vector<Vec2> squashed{{0.0, 0.0}, {5.0, 0.0}, {5.0, 5.0}, {0.0, 5.0}};
   LssOptions opt;
   opt.min_spacing_m.reset();
-  EXPECT_GT(lss_stress(meas, squashed, opt), 50.0);
+  EXPECT_GT(stress_at(meas, squashed, opt), 50.0);
 }
 
 TEST(LssStress, SoftConstraintOnlyHitsUnmeasuredClosePairs) {
@@ -62,12 +69,12 @@ TEST(LssStress, SoftConstraintOnlyHitsUnmeasuredClosePairs) {
   opt.constraint_weight = 10.0;
   // Node 2 has no measurements; placing it close to node 0 violates dmin.
   const std::vector<Vec2> pos{{0.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}};
-  const double with = lss_stress(meas, pos, opt);
+  const double with = stress_at(meas, pos, opt);
   // Expected: pair (0,2) at 3.0 -> (3-9)^2*10 = 360; pair (1,2) at 1.0 ->
   // (1-9)^2*10 = 640; pair (0,1) measured, exempt. Total 1000.
   EXPECT_NEAR(with, 1000.0, 1e-9);
   opt.min_spacing_m.reset();
-  EXPECT_NEAR(lss_stress(meas, pos, opt), 0.0, 1e-12);
+  EXPECT_NEAR(stress_at(meas, pos, opt), 0.0, 1e-12);
 }
 
 TEST(LocalizeLss, RecoversSquareUpToRigidMotion) {

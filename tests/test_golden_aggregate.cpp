@@ -74,14 +74,16 @@ std::vector<CellResult> handcrafted_cells() {
   b.placement_rate = 1.0;
   b.average_error_m = 1.0 / 3.0;  // %.12g rendering pinned by the fixture
   b.stress = 2.5;
-  healthy.aggregate = resloc::eval::aggregate_trials({a, b});
+  const TrialOutcome healthy_trials[] = {a, b};
+  healthy.aggregate = resloc::eval::aggregate_trials(healthy_trials, healthy_trials + 2);
 
   CellResult failed;
   failed.axes = {{"scenario", "grass_grid"}, {"label", "all-failed"}};
   TrialOutcome c;
   c.ok = false;
   c.error = "unknown scenario";
-  failed.aggregate = resloc::eval::aggregate_trials({c, c});
+  const TrialOutcome failed_trials[] = {c, c};
+  failed.aggregate = resloc::eval::aggregate_trials(failed_trials, failed_trials + 2);
 
   return {healthy, failed};
 }

@@ -2,6 +2,8 @@
 // pipelines on seeded scenarios, plus failure injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/alignment_protocol.hpp"
 #include "core/distributed_lss.hpp"
 #include "core/lss.hpp"
@@ -103,6 +105,19 @@ TEST(Integration, DistributedImprovesWithDensity) {
   EXPECT_EQ(dense_rep.localized, scenario.deployment.size());
 }
 
+/// Shifts each edge, with probability `fraction`, by a draw from
+/// N(0, magnitude_sigma_m), clamped below at 0.3 m: gross echo/hardware
+/// outliers on a synthetic measurement set.
+void inject_outliers(core::MeasurementSet& measurements, double fraction,
+                     double magnitude_sigma_m, math::Rng& rng) {
+  const auto edges = measurements.edges();  // copy: add() mutates storage
+  for (const auto& e : edges) {
+    if (!rng.bernoulli(fraction)) continue;
+    const double corrupted = std::max(0.3, e.distance_m + rng.gaussian(0.0, magnitude_sigma_m));
+    measurements.add(e.i, e.j, corrupted, e.weight);
+  }
+}
+
 TEST(Integration, OutlierInjectionDegradesGracefullyWithWeights) {
   // Corrupt 10% of edges; the weighted pipeline (downweight suspicious
   // unidirectional edges) should beat uniform weighting.
@@ -110,7 +125,7 @@ TEST(Integration, OutlierInjectionDegradesGracefullyWithWeights) {
   math::Rng rng(7);
   auto clean = sim::gaussian_measurements(town, {}, rng);
   auto corrupted = clean;
-  sim::inject_outliers(corrupted, 0.10, 10.0, rng);
+  inject_outliers(corrupted, 0.10, 10.0, rng);
 
   core::LssOptions options;
   options.min_spacing_m = 9.0;
@@ -159,7 +174,8 @@ TEST(Integration, MessageLossSlowsButDoesNotBreakAlignment) {
   // Event-driven alignment under 20% radio loss: the flood is redundant
   // enough to keep most of the network aligned.
   const auto grid = sim::offset_grid(4, 4);
-  auto meas = sim::perfect_measurements(grid, 22.0);
+  math::Rng noise_rng(0);
+  auto meas = sim::gaussian_measurements(grid, {/*sigma_m=*/0.0, /*max_range_m=*/22.0}, noise_rng);
   core::DistributedLssOptions options;
   options.local_lss.min_spacing_m = 9.0;
   options.local_lss.independent_inits = 8;

@@ -91,22 +91,4 @@ TEST(Centroid, Basics) {
   EXPECT_DOUBLE_EQ(c.y, 1.0);
 }
 
-TEST(PointLineDistance, Basics) {
-  EXPECT_DOUBLE_EQ(point_line_distance({0.0, 5.0}, {-1.0, 0.0}, {1.0, 0.0}), 5.0);
-  EXPECT_DOUBLE_EQ(point_line_distance({3.0, 0.0}, {0.0, 0.0}, {0.0, 1.0}), 3.0);
-  // Degenerate segment: falls back to point distance.
-  EXPECT_DOUBLE_EQ(point_line_distance({3.0, 4.0}, {0.0, 0.0}, {0.0, 0.0}), 5.0);
-}
-
-TEST(Collinearity, HeightOfRightTriangle) {
-  // 3-4-5 right triangle: smallest height is from the right angle onto the
-  // hypotenuse: 2*area/5 = 12/5.
-  EXPECT_NEAR(collinearity_height({0.0, 0.0}, {3.0, 0.0}, {0.0, 4.0}), 2.4, 1e-12);
-}
-
-TEST(Collinearity, CollinearPointsHaveZeroHeight) {
-  EXPECT_DOUBLE_EQ(collinearity_height({0.0, 0.0}, {1.0, 1.0}, {5.0, 5.0}), 0.0);
-  EXPECT_DOUBLE_EQ(collinearity_height({2.0, 2.0}, {2.0, 2.0}, {2.0, 2.0}), 0.0);
-}
-
 }  // namespace

@@ -90,7 +90,10 @@ TEST(Transform2D, InverseRoundTrip) {
 TEST(Transform2D, InverseComposesToIdentity) {
   const Transform2D t(0.77, true, {3.0, 4.0});
   const Transform2D id = t.then(t.inverse());
-  EXPECT_LT(id.max_param_diff(Transform2D{}), 1e-12);
+  EXPECT_NEAR(id.cos_theta(), 1.0, kTol);
+  EXPECT_NEAR(id.sin_theta(), 0.0, kTol);
+  EXPECT_FALSE(id.reflected());
+  expect_vec_near(id.translation_part(), {0.0, 0.0});
 }
 
 TEST(Transform2D, ThetaAccessor) {

@@ -48,12 +48,13 @@ TEST_P(LssRigidInvariance, StressUnchangedByRigidMotion) {
   opt.min_spacing_m = rng.uniform(2.0, 10.0);
   opt.constraint_weight = rng.uniform(1.0, 20.0);
 
-  const double base = resloc::core::lss_stress(meas, config, opt);
+  std::vector<double> grad;
+  const double base = resloc::core::lss_stress_with_gradient(meas, config, opt, grad);
   const Transform2D motion(rng.uniform(-3.1, 3.1), rng.bernoulli(0.5),
                            {rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)});
   std::vector<Vec2> moved;
   for (const Vec2& p : config) moved.push_back(motion.apply(p));
-  EXPECT_NEAR(resloc::core::lss_stress(meas, moved, opt), base,
+  EXPECT_NEAR(resloc::core::lss_stress_with_gradient(meas, moved, opt, grad), base,
               1e-9 * std::max(1.0, base));
 }
 

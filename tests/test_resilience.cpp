@@ -113,12 +113,12 @@ TEST(Resilience, DegradedMultilaterationPlacesUnderConstrainedNodes) {
   measurements.add(0, 2, d);
   measurements.add(1, 2, d);
 
-  resloc::core::MultilaterationOptions options;  // min_anchors = 3
+  resloc::core::MultilaterationOptions options;  // kMinAnchors = 3
   resloc::math::Rng rng_strict(4);
   const auto strict = resloc::core::localize_by_multilateration(
       deployment, measurements, options, rng_strict);
   EXPECT_FALSE(strict.positions[2].has_value());
-  EXPECT_EQ(strict.status_of(2), resloc::core::LocalizationStatus::kUnlocalized);
+  EXPECT_EQ(strict.status[2], resloc::core::LocalizationStatus::kUnlocalized);
   EXPECT_EQ(strict.degraded_count(), 0u);
 
   options.allow_degraded = true;
@@ -126,14 +126,14 @@ TEST(Resilience, DegradedMultilaterationPlacesUnderConstrainedNodes) {
   const auto degraded = resloc::core::localize_by_multilateration(
       deployment, measurements, options, rng_degraded);
   ASSERT_TRUE(degraded.positions[2].has_value());
-  EXPECT_EQ(degraded.status_of(2), resloc::core::LocalizationStatus::kDegraded);
+  EXPECT_EQ(degraded.status[2], resloc::core::LocalizationStatus::kDegraded);
   EXPECT_EQ(degraded.degraded_count(), 1u);
   // The two-anchor fix is one of the two mirror intersections of the range
   // circles: x is pinned, |y| matches up to solver tolerance.
   EXPECT_NEAR(degraded.positions[2]->x, 5.0, 0.5);
   EXPECT_NEAR(std::abs(degraded.positions[2]->y), 5.0, 0.5);
   // Anchors stay full-confidence.
-  EXPECT_EQ(degraded.status_of(0), resloc::core::LocalizationStatus::kOk);
+  EXPECT_EQ(degraded.status[0], resloc::core::LocalizationStatus::kOk);
 }
 
 TEST(Resilience, RetriesAreAccountedAndDoNotPerturbSuccessfulRuns) {

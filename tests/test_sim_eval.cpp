@@ -23,6 +23,13 @@ using resloc::core::NodeId;
 using resloc::math::Rng;
 using resloc::math::Vec2;
 
+/// Noise-free distances for every pair closer than `max_range_m`, through the
+/// production generator at sigma 0.
+MeasurementSet exact_measurements(const Deployment& d, double max_range_m) {
+  Rng rng(0);
+  return gaussian_measurements(d, {/*sigma_m=*/0.0, max_range_m}, rng);
+}
+
 TEST(Deployments, OffsetGridGeometry) {
   const auto d = offset_grid();
   EXPECT_EQ(d.size(), 49u);
@@ -78,7 +85,7 @@ TEST(Deployments, TownBlocksInvariants) {
   }
   EXPECT_GT(min_d, 8.5);
   // The 22 m measurement graph is connected (required for localization).
-  const auto meas = perfect_measurements(d, 22.0);
+  const auto meas = exact_measurements(d, 22.0);
   EXPECT_GT(meas.edge_count(), 250u);
   std::vector<bool> seen(d.size(), false);
   std::vector<NodeId> stack{0};
@@ -203,9 +210,9 @@ TEST(ScenarioRegistry, RegisterCustomScenario) {
   EXPECT_EQ(build_scenario("unit_test_line", params, rng).size(), 6u);
 }
 
-TEST(MeasurementGen, PerfectMeasurementsRespectCutoff) {
+TEST(MeasurementGen, NoiseFreeMeasurementsRespectCutoff) {
   const auto d = offset_grid(3, 3);
-  const auto meas = perfect_measurements(d, 10.5);
+  const auto meas = exact_measurements(d, 10.5);
   for (const auto& e : meas.edges()) {
     EXPECT_LT(e.distance_m, 10.5);
     EXPECT_NEAR(e.distance_m,
@@ -231,9 +238,9 @@ TEST(MeasurementGen, GaussianNoiseStatistics) {
 TEST(MeasurementGen, AugmentOnlyAddsMissing) {
   const auto d = offset_grid(3, 3);
   Rng rng(5);
-  auto meas = perfect_measurements(d, 10.5);
+  auto meas = exact_measurements(d, 10.5);
   const std::size_t before = meas.edge_count();
-  const std::size_t full = perfect_measurements(d, 22.0).edge_count();
+  const std::size_t full = exact_measurements(d, 22.0).edge_count();
   const std::size_t added = augment_with_gaussian(meas, d, {}, rng, 0);
   EXPECT_EQ(meas.edge_count(), before + added);
   EXPECT_EQ(meas.edge_count(), full);
@@ -254,25 +261,11 @@ TEST(MeasurementGen, AugmentRespectsCap) {
 TEST(MeasurementGen, SubsampleEdges) {
   const auto d = offset_grid();
   Rng rng(8);
-  const auto full = perfect_measurements(d, 22.0);
+  const auto full = exact_measurements(d, 22.0);
   const auto sub = subsample_edges(full, 50, rng);
   EXPECT_EQ(sub.edge_count(), 50u);
   EXPECT_EQ(sub.node_count(), full.node_count());
   for (const auto& e : sub.edges()) EXPECT_TRUE(full.has(e.i, e.j));
-}
-
-TEST(MeasurementGen, InjectOutliersCorruptsFraction) {
-  const auto d = offset_grid();
-  Rng rng(9);
-  auto meas = perfect_measurements(d, 22.0);
-  const auto original = meas;
-  inject_outliers(meas, 0.2, 8.0, rng);
-  std::size_t changed = 0;
-  for (const auto& e : meas.edges()) {
-    if (std::abs(e.distance_m - original.between(e.i, e.j)->distance_m) > 1e-12) ++changed;
-  }
-  const double fraction = static_cast<double>(changed) / static_cast<double>(meas.edge_count());
-  EXPECT_NEAR(fraction, 0.2, 0.08);
 }
 
 // --- eval ---
